@@ -11,14 +11,21 @@ Three subcommands:
 
 Exit codes: 0 all checks passed, 1 at least one exact mismatch (a bug, or a
 falsified identity), 2 malformed parameters or usage.  Diagnostics go to
-stderr; reports go to stdout.  ``MZV_THREADS`` caps worker processes for
-grid evaluation (default 1, serial).
+stderr; reports go to stdout.
+
+An s/t-identity sweep always runs serially on one shared ``ZetaCache``
+(loaded from ``--cache`` when given): its cases reuse each other's tables.
+The kinds whose cases share nothing (``gen``, ``symmetric``, ``frs``,
+``frt``) run in up to ``MZV_THREADS`` worker processes (default 1, serial),
+capped at the CPU count and the number of cases; a value that is not an
+integer >= 1 exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import random
@@ -32,38 +39,6 @@ from .indices import AbcParams
 
 VERIFY_KINDS = ("s-identity", "t-identity", "gen", "symmetric", "frs", "frt", "homomorphism")
 EVAL_KINDS = ("zeta", "zeta-star", "s", "s-star", "t", "t-star", "bernoulli", "beta", "closed")
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["command", "params", "cases", "all_passed", "elapsed_ms"],
-    "additionalProperties": False,
-    "properties": {
-        "command": {"type": "string"},
-        "params": {
-            "type": "object",
-            "required": ["a", "b", "c", "p", "q", "m"],
-            "properties": {
-                "a": {"type": "integer"},
-                "b": {"type": "integer"},
-                "c": {"type": "integer"},
-                "p": {"type": ["string", "null"]},
-                "q": {"type": ["string", "null"]},
-                "m": {"type": ["string", "null"]},
-            },
-        },
-        "cases": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["equal"],
-                "properties": {"equal": {"type": "boolean"}},
-            },
-        },
-        "all_passed": {"type": "boolean"},
-        "elapsed_ms": {"type": "integer"},
-    },
-}
-
 
 class UsageError(Exception):
     """Bad parameters: reported on stderr, exit code 2."""
@@ -125,20 +100,15 @@ def _range_str(values: list[int]) -> str:
 def _threads() -> int:
     raw = os.environ.get("MZV_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"MZV_THREADS: expected an integer >= 1, got {raw!r}")
+    return threads
 
 
 # Workers are module-level so the process pool can pickle them.
-
-def _identity_case(args) -> dict:
-    kind, a, b, c, p, q, m = args
-    params = AbcParams(a, b, c)
-    fn = zeta.verify_identity_s if kind == "s-identity" else zeta.verify_identity_t
-    rep = fn(p, q, m, params)
-    return {"p": p, "q": q, "m": m, "lhs": _frac_str(rep.lhs), "rhs": _frac_str(rep.rhs), "equal": rep.equal}
-
 
 def _series_case(args) -> dict:
     kind, a, b, c, m, bx, by = args
@@ -157,10 +127,10 @@ def _word_case(args) -> dict:
 
 
 def _map_cases(worker, arglist) -> list[dict]:
-    threads = _threads()
-    if threads > 1 and len(arglist) > 1:
-        chunk = max(1, len(arglist) // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(_threads(), os.cpu_count() or 1, len(arglist))
+    if workers > 1:
+        chunk = max(1, len(arglist) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, arglist, chunksize=chunk))
     return [worker(args) for args in arglist]
 
@@ -179,18 +149,14 @@ def _run_verify(ns) -> tuple[dict, int]:
 
     if kind in ("s-identity", "t-identity"):
         report_params.update(p=_range_str(ps), q=_range_str(qs), m=_range_str(ms))
-        grid = [(kind, params.a, params.b, params.c, p, q, m) for p in ps for q in qs for m in ms]
-        if ns.cache or _threads() == 1:
-            cache = _load_cache(ns.cache)
-            fn = zeta.verify_identity_s if kind == "s-identity" else zeta.verify_identity_t
-            cases = []
-            for _, _, _, _, p, q, m in grid:
-                rep = fn(p, q, m, params, cache)
-                cases.append({"p": p, "q": q, "m": m, "lhs": _frac_str(rep.lhs),
-                              "rhs": _frac_str(rep.rhs), "equal": rep.equal})
-            _save_cache(ns.cache, cache)
-        else:
-            cases = _map_cases(_identity_case, grid)
+        cache = _load_cache(ns.cache)
+        fn = zeta.verify_identity_s if kind == "s-identity" else zeta.verify_identity_t
+        cases = []
+        for p, q, m in itertools.product(ps, qs, ms):
+            rep = fn(p, q, m, params, cache)
+            cases.append({"p": p, "q": q, "m": m, "lhs": _frac_str(rep.lhs),
+                          "rhs": _frac_str(rep.rhs), "equal": rep.equal})
+        _save_cache(ns.cache, cache)
     elif kind in ("gen", "symmetric"):
         bx, by = _parse_pair(ns.bounds, "--bounds")
         if bx < 0 or by < 0:
@@ -203,6 +169,8 @@ def _run_verify(ns) -> tuple[dict, int]:
         grid = [(kind, params.a, params.b, params.c, p, q) for p in ps for q in qs]
         cases = _map_cases(_word_case, grid)
     else:  # homomorphism
+        if ns.count < 1:
+            raise UsageError(f"--count: expected an integer >= 1, got {ns.count}")
         report_params.update(m=_range_str(ms), count=ns.count, seed=ns.seed)
         rng = random.Random(ns.seed)
         cache = zeta.ZetaCache()
@@ -333,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, help="sample seed (homomorphism)")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--cache", default=None, metavar="PATH",
-                          help="persist zeta tables across runs (forces serial evaluation)")
+                          help="persist zeta tables across runs (s/t-identity)")
 
     p_eval = sub.add_parser("eval", help="print one exact value")
     p_eval.add_argument("kind", choices=EVAL_KINDS)

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .indices import AbcParams
-from .zeta import ZetaCache, decompositions, s_star_direct
+from .zeta import ZetaCache, identity_terms, s_star_direct
 
 __all__ = [
     "ABC_312",
@@ -136,11 +136,11 @@ def s_star_closed(p: int, q: int) -> PiCoefficient:
     """Limit of the star s-family sum for letters (3, 1, 2)."""
     _check_pq(p, q)
     total = Fraction(0)
-    for i, k, u, j, l, v in decompositions(p, q):
+    for weight, i, j, r1, r2 in identity_terms(p, q):
         total += (
-            Fraction((-1) ** (j + k) * comb(k + l, k) * comb(u + v, u) * comb(2 * i + j, j))
-            * beta(k + l)
-            * beta(u + v)
+            Fraction(weight * comb(2 * i + j, j))
+            * beta(r1)
+            * beta(r2)
             / ((2 * i + 1) * factorial(4 * i + 2 * j + 1))
         )
     return PiCoefficient(total, 4 * p + 2 * q)

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .indices import AbcParams, index_family_I, index_family_J, validate_index
-from .zeta import ZetaCache, decompositions
+from .zeta import ZetaCache, identity_terms
 
 Word = tuple[int, ...]
 
@@ -253,12 +252,8 @@ def _verify_word_identity(p: int, q: int, params: AbcParams, family_sum) -> Word
     lhs = star_expand(family_sum(p, q, params))
     star_runs = {r: star_expand(HPoly.word((c,) * r)) for r in range(2 * p + q + 1)}
     rhs = HPoly.zero()
-    for i, k, u, j, l, v in decompositions(p, q):
-        weight = (-1) ** (j + k) * comb(k + l, k) * comb(u + v, u)
-        term = harmonic_mul(
-            family_sum(i, j, params),
-            harmonic_mul(star_runs[k + l], star_runs[u + v]),
-        )
+    for weight, i, j, r1, r2 in identity_terms(p, q):
+        term = harmonic_mul(family_sum(i, j, params), harmonic_mul(star_runs[r1], star_runs[r2]))
         rhs = rhs + weight * term
     return WordIdentityReport(params, p, q, len(lhs), len(rhs), lhs == rhs)
 

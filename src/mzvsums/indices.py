@@ -35,10 +35,10 @@ __all__ = [
 
 
 def validate_index(k) -> Index:
-    """Coerce *k* to a tuple and require every entry to be a positive integer."""
+    """Coerce *k* to a tuple and require every entry to be a positive integer (not a bool)."""
     k = tuple(k)
     for entry in k:
-        if not isinstance(entry, int) or entry < 1:
+        if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
             raise ValueError(f"index entries must be integers >= 1, got {entry!r}")
     return k
 
@@ -54,7 +54,7 @@ class AbcParams:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.a + self.b != 2 * self.c:
             raise ValueError(f"a+b must equal 2c (got a={self.a}, b={self.b}, c={self.c})")

@@ -36,6 +36,7 @@ __all__ = [
     "IdentityReport",
     "ZetaCache",
     "decompositions",
+    "identity_terms",
     "s_direct",
     "s_star_direct",
     "t_direct",
@@ -190,16 +191,25 @@ def decompositions(p: int, q: int):
                     yield i, k, u, j, l, v
 
 
+def identity_terms(p: int, q: int):
+    """(weight, i, j, r1, r2) per decomposition, in ``decompositions`` order.
+
+    The (p, q) star family sum is the sum of weight * (i, j) family sum *
+    star c-runs of lengths r1 = k + l and r2 = u + v.
+    """
+    for i, k, u, j, l, v in decompositions(p, q):
+        yield (-1) ** (j + k) * comb(k + l, k) * comb(u + v, u), i, j, k + l, u + v
+
+
 def _identity_rhs(p, q, m, params, base_sum, cache) -> Fraction:
     c = params.c
     rhs = Fraction(0)
-    for i, k, u, j, l, v in decompositions(p, q):
-        weight = (-1) ** (j + k) * comb(k + l, k) * comb(u + v, u)
+    for weight, i, j, r1, r2 in identity_terms(p, q):
         rhs += (
             weight
             * base_sum(i, j, m, params, cache)
-            * cache.zeta_star((c,) * (k + l), m)
-            * cache.zeta_star((c,) * (u + v), m)
+            * cache.zeta_star((c,) * r1, m)
+            * cache.zeta_star((c,) * r2, m)
         )
     return rhs
 

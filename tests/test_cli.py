@@ -49,13 +49,81 @@ class TestVerifyCommand:
                 assert math.gcd(int(num), int(den)) == 1
 
     def test_case_order_is_deterministic_across_thread_counts(self, capsys, monkeypatch):
-        argv = ["verify", "t-identity", "--p", "0..1", "--q", "0..1", "--m", "0..5"]
-        _, serial_out, _ = run(argv, capsys)
-        monkeypatch.setenv("MZV_THREADS", "3")
-        _, parallel_out, _ = run(argv, capsys)
-        serial, parallel = json.loads(serial_out), json.loads(parallel_out)
-        serial.pop("elapsed_ms"), parallel.pop("elapsed_ms")
-        assert serial == parallel
+        for argv in (
+            ["verify", "t-identity", "--p", "0..1", "--q", "0..1", "--m", "0..5"],
+            ["verify", "gen", "--m", "0..5", "--bounds", "3,3"],
+            ["verify", "frs", "--p", "0..1", "--q", "0..1"],
+        ):
+            monkeypatch.delenv("MZV_THREADS", raising=False)
+            _, serial_out, _ = run(argv, capsys)
+            monkeypatch.setenv("MZV_THREADS", "3")
+            _, parallel_out, _ = run(argv, capsys)
+            serial, parallel = json.loads(serial_out), json.loads(parallel_out)
+            serial.pop("elapsed_ms"), parallel.pop("elapsed_ms")
+            assert serial == parallel
+
+    def test_pool_is_capped_by_threads_cpus_and_cases(self, capsys, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        for threads, m_range in (("64", "0..2"), ("64", "0..9"), ("2", "0..9"), ("1", "0..9")):
+            monkeypatch.setenv("MZV_THREADS", threads)
+            code, _, _ = run(["verify", "gen", "--m", m_range, "--bounds", "1,1"], capsys)
+            assert code == 0
+        assert sizes == [3, 4, 2]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        monkeypatch.setenv("MZV_THREADS", "64")
+        code, _, _ = run(["verify", "frs", "--p", "0..1", "--q", "0..1"], capsys)
+        assert code == 0
+        assert sizes == [3, 4, 2]
+
+    def test_identity_sweeps_never_start_a_pool(self, capsys, monkeypatch, tmp_path):
+        def no_pool(max_workers):
+            raise AssertionError("identity sweeps run serially on one cache")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("MZV_THREADS", "4")
+        for kind in ("s-identity", "t-identity"):
+            for extra in ([], ["--cache", str(tmp_path / "tables.pkl")]):
+                code, _, _ = run(["verify", kind, "--p", "0..1", "--q", "0..1", "--m", "0..4", *extra], capsys)
+                assert code == 0
+
+    def test_non_integer_threads_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("MZV_THREADS", "two")
+        code, out, err = run(["verify", "gen", "--m", "0..2", "--bounds", "2,2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MZV_THREADS") and err.count("\n") == 1
+
+    def test_threads_below_one_exit_two(self, capsys, monkeypatch):
+        for value in ("0", "-2"):
+            monkeypatch.setenv("MZV_THREADS", value)
+            code, out, err = run(["verify", "frs", "--p", "0", "--q", "0..1"], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: MZV_THREADS") and err.count("\n") == 1
+
+    def test_nonpositive_count_exits_two(self, capsys):
+        for count in ("0", "-3"):
+            code, out, err = run(["verify", "homomorphism", "--m", "0..2", "--count", count], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: --count") and err.count("\n") == 1
 
     def test_gen_and_symmetric_kinds(self, capsys):
         for kind in ("gen", "symmetric"):

@@ -40,6 +40,10 @@ class TestAbcParams:
         with pytest.raises(ValueError):
             AbcParams(4, 0, 2)
 
+    def test_rejects_bool_letters(self):
+        with pytest.raises(ValueError, match="b must be a positive integer"):
+            AbcParams(3, True, 2)
+
     def test_is_hashable_value_type(self):
         assert AbcParams(3, 1, 2) == P312
         assert len({AbcParams(3, 1, 2), P312}) == 1
@@ -55,6 +59,10 @@ class TestValidateIndex:
             validate_index((0, 1))
         with pytest.raises(ValueError):
             validate_index((2, -3))
+
+    def test_rejects_bool_entries(self):
+        with pytest.raises(ValueError, match="got True"):
+            validate_index((True, 2))
 
 
 class TestShuffles:
