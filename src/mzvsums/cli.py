@@ -15,6 +15,8 @@ stderr; reports go to stdout.
 
 An s/t-identity sweep always runs serially on one shared ``ZetaCache``
 (loaded from ``--cache`` when given): its cases reuse each other's tables.
+The other kinds keep no zeta tables and reject ``--cache``; so does an
+unreadable cache file (exit 2).
 The kinds whose cases share nothing (``gen``, ``symmetric``, ``frs``,
 ``frt``) run in up to ``MZV_THREADS`` worker processes (default 1, serial),
 capped at the CPU count and the number of cases; a value that is not an
@@ -145,6 +147,8 @@ def _run_verify(ns) -> tuple[dict, int]:
         "a": params.a, "b": params.b, "c": params.c,
         "p": None, "q": None, "m": None,
     }
+    if ns.cache is not None and kind not in ("s-identity", "t-identity"):
+        raise UsageError(f"--cache: only s-identity and t-identity use a zeta cache, not {kind}")
     t0 = time.perf_counter()
 
     if kind in ("s-identity", "t-identity"):
@@ -210,7 +214,10 @@ def _run_verify(ns) -> tuple[dict, int]:
 
 def _load_cache(path) -> zeta.ZetaCache:
     if path and os.path.exists(path):
-        return zeta.ZetaCache.load(path)
+        try:
+            return zeta.ZetaCache.load(path)
+        except Exception as exc:  # unpickling can fail in any way a bad file allows
+            raise UsageError(f"--cache: cannot read {path}: {type(exc).__name__}: {exc}") from None
     return zeta.ZetaCache()
 
 
@@ -301,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, help="sample seed (homomorphism)")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--cache", default=None, metavar="PATH",
-                          help="persist zeta tables across runs (s/t-identity)")
+                          help="persist zeta tables across runs (s/t-identity only; other kinds "
+                               "and an unreadable file exit 2)")
 
     p_eval = sub.add_parser("eval", help="print one exact value")
     p_eval.add_argument("kind", choices=EVAL_KINDS)

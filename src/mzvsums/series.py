@@ -7,20 +7,24 @@ bivariate series.  Writing ``F`` for the series with ``s(p, q)`` at
 the column vector (1, 0) by applying one 2x2 matrix per level l = 1..m:
 
     step l (plain): [[1 + y/l^c, x/l^a], [x/l^b, 1 + y/l^c]]
-    step l (star):  the inverse of [[1 - y/l^c, -x/l^a], [-x/l^b, 1 - y/l^c]],
-                    which under a + b = 2c equals the plain-shaped matrix with
-                    1 - y/l^c on the diagonal, divided by
-                    (1 - (y-x)/l^c)(1 - (y+x)/l^c).
+    step l (star):  the inverse of M_l = [[1 - y/l^c, -x/l^a], [-x/l^b, 1 - y/l^c]]
 
-The star entries are genuine power series, so everything here is computed in
-truncated polynomials: coefficients above the (bound_x, bound_y) box are
-discarded, and the scalar prefactor is expanded as a truncated geometric
-series.  The univariate run series ``zeta_run_poly`` collects the values of
-constant indices (c, c, ..., c) as coefficients.
+The series are truncated to a (bound_x, bound_y) degree box and computed as
+one dense grid: row i holds the x^i coefficients of F (even i) or G (odd i).
+Both steps are the recurrence ``H[i][j] += H[i][j-1]/l^c + H[i-1][j]/l^e``
+(e = a for even i, b for odd i).  Run in decreasing (i, j) it reads old
+coefficients and applies the plain step; run in increasing (i, j) it reads
+the new ones and so solves M_l v_l = v_(l-1), which is triangular in degree
+order.  The run series ``zeta_run_poly`` / ``zeta_star_run_poly``, whose
+coefficients are the values of constant indices (c, ..., c), are the x^0 row
+of such a grid with bound_x = 0.  ``step_matrix``, ``step_matrix_star`` and
+``Mat2`` build the steps literally (the star prefactor as truncated geometric
+series); they are kept as the oracle for the recurrence, off the hot path.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -79,12 +83,8 @@ class BivarPoly:
         return cls({}, bound_x, bound_y)
 
     @classmethod
-    def const(cls, value, bound_x: int, bound_y: int) -> "BivarPoly":
-        return cls({(0, 0): Fraction(value)}, bound_x, bound_y)
-
-    @classmethod
     def one(cls, bound_x: int, bound_y: int) -> "BivarPoly":
-        return cls.const(1, bound_x, bound_y)
+        return cls({(0, 0): 1}, bound_x, bound_y)
 
     def coeff(self, i: int, j: int) -> Fraction:
         return self.coeffs.get((i, j), Fraction(0))
@@ -215,14 +215,6 @@ class UnivarPoly:
     def __hash__(self):
         return hash((tuple(self.coeffs), self.bound))
 
-    def __add__(self, other: "UnivarPoly") -> "UnivarPoly":
-        if self.bound != other.bound:
-            raise ValueError("truncation bounds differ")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivarPoly(
-            [self.coeff(r) + other.coeff(r) for r in range(n)], self.bound
-        )
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return UnivarPoly([v * other for v in self.coeffs], self.bound)
@@ -334,26 +326,29 @@ def step_matrix_star(l: int, params: AbcParams, bound_x: int, bound_y: int) -> M
     return Mat2(diag * pref, upper * pref, lower * pref, diag * pref)
 
 
-def iter_family_series(params: AbcParams, bounds: tuple[int, int]):
-    """Yield the plain series pair (F, G) at cutoffs m = 0, 1, 2, ... indefinitely."""
-    bx, by = bounds
-    f, g = BivarPoly.one(bx, by), BivarPoly.zero(bx, by)
-    l = 0
-    while True:
-        yield f, g
-        l += 1
-        f, g = step_matrix(l, params, bx, by).apply(f, g)
+def _grids(exponents: tuple[int, int, int], bounds: tuple[int, int], star: bool):
+    """Yield one coefficient grid at cutoffs m = 0, 1, 2, ..., advanced in place."""
+    bx, by = bounds  # a negative bound fails where the grid becomes a polynomial
+    grid = [[Fraction(int(i == j == 0)) for j in range(by + 1)] for i in range(bx + 1)]
+    order = 1 if star else -1
+    for l in itertools.count(1):
+        yield grid
+        la, lb, lc = (l**e for e in exponents)
+        for i in range(len(grid))[::order]:
+            row, below, cross = grid[i], grid[i - 1], lb if i % 2 else la
+            for j in range(len(row))[::order]:
+                if j:
+                    row[j] += row[j - 1] / lc
+                if i:
+                    row[j] += below[j] / cross
 
 
-def iter_family_series_star(params: AbcParams, bounds: tuple[int, int]):
-    """Yield the star series pair (F*, G*) at cutoffs m = 0, 1, 2, ... indefinitely."""
-    bx, by = bounds
-    f, g = BivarPoly.one(bx, by), BivarPoly.zero(bx, by)
-    l = 0
-    while True:
-        yield f, g
-        l += 1
-        f, g = step_matrix_star(l, params, bx, by).apply(f, g)
+def _pair(grid, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
+    """Split a grid into (F, G): the even and the odd x-degree rows."""
+    coeffs = ({}, {})
+    for i, row in enumerate(grid):
+        coeffs[i % 2].update(((i, j), v) for j, v in enumerate(row))
+    return BivarPoly(coeffs[0], *bounds), BivarPoly(coeffs[1], *bounds)
 
 
 def _nth(iterator, m: int):
@@ -364,30 +359,34 @@ def _nth(iterator, m: int):
     return next(iterator)
 
 
+def iter_family_series(params: AbcParams, bounds: tuple[int, int]):
+    """Yield the plain series pair (F, G) at cutoffs m = 0, 1, 2, ... indefinitely."""
+    return (_pair(grid, bounds) for grid in _grids(params.as_tuple(), bounds, False))
+
+
+def iter_family_series_star(params: AbcParams, bounds: tuple[int, int]):
+    """Yield the star series pair (F*, G*) at cutoffs m = 0, 1, 2, ... indefinitely."""
+    return (_pair(grid, bounds) for grid in _grids(params.as_tuple(), bounds, True))
+
+
 def family_series(m: int, params: AbcParams, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
     """The cutoff-m series pair (F, G); exact polynomials when bounds cover degree m."""
-    return _nth(iter_family_series(params, bounds), m)
+    return _pair(_nth(_grids(params.as_tuple(), bounds, False), m), bounds)
 
 
 def family_series_star(m: int, params: AbcParams, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
     """The cutoff-m star series pair (F*, G*), truncated to ``bounds``."""
-    return _nth(iter_family_series_star(params, bounds), m)
+    return _pair(_nth(_grids(params.as_tuple(), bounds, True), m), bounds)
 
 
 def zeta_run_poly(m: int, c: int, bound: int) -> UnivarPoly:
     """Product over l = 1..m of (1 + z/l^c); coefficient of z^r is zeta_m((c,)*r)."""
-    out = UnivarPoly.one(bound)
-    for l in range(1, m + 1):
-        out = out * UnivarPoly([Fraction(1), Fraction(1, l**c)], bound)
-    return out
+    return UnivarPoly(_nth(_grids((c, c, c), (0, bound), False), m)[0], bound)
 
 
 def zeta_star_run_poly(m: int, c: int, bound: int) -> UnivarPoly:
     """Truncated product over l = 1..m of 1/(1 - z/l^c); z^r carries zeta_star_m((c,)*r)."""
-    out = UnivarPoly.one(bound)
-    for l in range(1, m + 1):
-        out = out * UnivarPoly.geometric(Fraction(1, l**c), bound)
-    return out
+    return UnivarPoly(_nth(_grids((c, c, c), (0, bound), True), m)[0], bound)
 
 
 def extract_s(f: BivarPoly, p: int, q: int) -> Fraction:

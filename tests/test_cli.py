@@ -190,6 +190,44 @@ class TestVerifyCommand:
         assert first["cases"] == second["cases"]
         assert (tmp_path / "tables.pkl").exists()
 
+    def _assert_cache_rejected(self, path, capsys):
+        argv = ["verify", "s-identity", "--p", "0", "--q", "0", "--m", "0..3", "--cache", str(path)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --cache") and err.count("\n") == 1
+
+    def test_truncated_cache_exits_two(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.pkl", tmp_path / "bad.pkl"
+        code, _, _ = run(["verify", "s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..8",
+                          "--cache", str(good)], capsys)
+        assert code == 0
+        bad.write_bytes(good.read_bytes()[:100])
+        self._assert_cache_rejected(bad, capsys)
+
+    def test_empty_cache_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "empty.pkl"
+        path.write_bytes(b"")
+        self._assert_cache_rejected(path, capsys)
+
+    def test_non_pickle_cache_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(b"these are not zeta tables\n")
+        self._assert_cache_rejected(path, capsys)
+
+    def test_kinds_without_zeta_tables_reject_cache(self, capsys, tmp_path):
+        path = tmp_path / "tables.pkl"
+        for argv in (["gen", "--m", "0..1", "--bounds", "1,1"],
+                     ["symmetric", "--m", "0..1", "--bounds", "1,1"],
+                     ["frs", "--p", "0", "--q", "0"],
+                     ["frt", "--p", "0", "--q", "0"],
+                     ["homomorphism", "--m", "0..1", "--count", "1"]):
+            code, out, err = run(["verify", *argv, "--cache", str(path)], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: --cache") and err.count("\n") == 1
+            assert not path.exists()
+
 
 class TestEvalCommand:
     def test_zeta_value(self, capsys):

@@ -240,3 +240,42 @@ class TestSeriesIdentities:
         assert rep.m == 3
         assert rep.bounds == (4, 4)
         assert rep.mismatches == 0
+
+
+class TestGridKernelsAgainstOracle:
+    """The coefficient-grid kernels against the literal step matrices and run products."""
+
+    BOXES = [(bx, by) for bx in range(5) for by in range(5)]
+
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    def test_family_series_fold_the_step_matrices(self, params):
+        for bx, by in self.BOXES:
+            plain = star = (BivarPoly.one(bx, by), BivarPoly.zero(bx, by))
+            for m in range(7):
+                if m:
+                    plain = step_matrix(m, params, bx, by).apply(*plain)
+                    star = step_matrix_star(m, params, bx, by).apply(*star)
+                assert family_series(m, params, (bx, by)) == plain, (bx, by, m)
+                assert family_series_star(m, params, (bx, by)) == star, (bx, by, m)
+
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    def test_run_polys_are_the_explicit_products(self, params):
+        c = params.c
+        for bound in range(9):
+            h = hstar = UnivarPoly.one(bound)
+            for m in range(7):
+                if m:
+                    h = h * UnivarPoly([F(1), F(1, m**c)], bound)
+                    hstar = hstar * UnivarPoly.geometric(F(1, m**c), bound)
+                assert zeta_run_poly(m, c, bound) == h, (bound, m)
+                assert zeta_star_run_poly(m, c, bound) == hstar, (bound, m)
+
+    @pytest.mark.parametrize("iterate", [iter_family_series, iter_family_series_star])
+    def test_yielded_pairs_do_not_change_when_the_iterator_advances(self, iterate):
+        it = iterate(P312, (4, 4))
+        pairs = [next(it) for _ in range(4)]
+        snapshots = [(dict(f.coeffs), dict(g.coeffs)) for f, g in pairs]
+        for _ in range(3):
+            next(it)
+        assert [(f.coeffs, g.coeffs) for f, g in pairs] == snapshots
+        assert len({tuple(sorted(f.coeffs.items())) for f, _ in pairs}) == 4
