@@ -15,8 +15,9 @@ stderr; reports go to stdout.
 
 An s/t-identity sweep always runs serially on one shared ``ZetaCache``
 (loaded from ``--cache`` when given): its cases reuse each other's tables.
-The other kinds keep no zeta tables and reject ``--cache``; so does an
-unreadable cache file (exit 2).
+The other kinds keep no zeta tables and reject ``--cache``; so does a cache
+file that cannot be read, was written by an older version or fails its
+consistency check (exit 2).
 The kinds whose cases share nothing (``gen``, ``symmetric``, ``frs``,
 ``frt``) run in up to ``MZV_THREADS`` worker processes (default 1, serial),
 capped at the CPU count and the number of cases; a value that is not an
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -290,6 +292,7 @@ def _run_converge(ns, out) -> int:
     return 0
 
 
+@functools.cache  # built once per process: rebuilding cost more than a small sweep
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzvsums",

@@ -12,19 +12,34 @@ driven by the two recurrences
     zeta_m(k)      = zeta_{m-1}(k)      + m**-k_1 * zeta_{m-1}(k_2..k_n)
     zeta_star_m(k) = zeta_star_{m-1}(k) + m**-k_1 * zeta_star_m(k_2..k_n)
 
-A separately coded brute-force enumerator over monotone tuples
-(``zeta_trunc_naive`` / ``zeta_star_trunc_naive``) is kept as an oracle for
-small inputs.
+Every term of either sum at cutoff t is an integer over L_t**w, where
+L_t = lcm(1..t) (L_0 = 1) and w = k_1 + ... + k_n is the weight of k.  So
+the tables hold scaled numerators, plain integers
+N_t(k) = value_t(k) * L_t**w, and with r = L_t // L_{t-1} (1 unless t is a
+prime power) the recurrences become integer updates:
+
+    N_t(k) = N_{t-1}(k) * r**w + (L_t // t)**k_1 * N_{t-1}(k_2..k_n) * r**(w - k_1)
+    N*_t(k) = N*_{t-1}(k) * r**w + (L_t // t)**k_1 * N*_t(k_2..k_n)
+
+A ``Fraction`` is built only where a value leaves the module.  A separately
+coded brute-force enumerator over monotone tuples (``zeta_trunc_naive`` /
+``zeta_star_trunc_naive``) is kept as an oracle for small inputs.
 
 On top sit the family sums ``s``/``t`` (multiplicity-weighted sums over the
 shuffle families) and the finite-cutoff identity that expresses the star
 family sums through the non-star ones and zeta-star values of constant runs
-``(c, c, ..., c)``.
+``(c, c, ..., c)``.  All members of a family share one weight, and every
+term of the identity has the weight of its left side (c(2p+q) for ``s``,
+b + c(2p+q) for ``t``), so a family sum is one sum of scaled numerators and
+the identity check compares the numerators of its two sides, as integers
+over the common denominator L_m**weight.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import pickle
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,55 +64,149 @@ __all__ = [
     "zeta_trunc_naive",
 ]
 
+# First field of a saved cache; a file without it (for instance one holding
+# the Fraction tables of earlier versions) is refused.
+_CACHE_FORMAT = "mzvsums-zeta-cache/int-1"
+
+
+class _BuiltinsOnly(pickle.Unpickler):
+    """A saved cache holds only tuples, dicts, lists, ints and a str: refuse any class."""
+
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(f"a zeta cache holds no {module}.{name} objects")
+
 
 class ZetaCache:
-    """Suffix-keyed DP tables for truncated zeta(-star) values.
+    """Suffix-keyed DP tables of scaled numerators of truncated zeta(-star) values.
 
-    Tables extend in place when a larger cutoff is requested, so evaluating
-    at m = 100 after m = 800 costs a lookup.  Instances are picklable; the
-    CLI uses that for its optional on-disk cache.
+    ``table[t]`` for a suffix of weight w is the ``int`` value_t * L_t**w,
+    with L_t = lcm(1..t) taken from one list shared by every table.  Each
+    entry carries its own L_t, so a table extends in place when a larger
+    cutoff is requested, with no rescale pass, and evaluating at m = 100
+    after m = 800 costs a lookup.
+
+    ``save`` writes ``(_CACHE_FORMAT, strict tables, star tables)``
+    atomically; ``load`` checks the tag, the types, that each table has the
+    table it recurs on, and each table's last entry against its recurrence,
+    and raises ``ValueError`` (or ``pickle.UnpicklingError``) on any failure.
+    That refuses caches of older versions and most damage, but the other
+    entries are not re-derived (that would cost a refill): a file with an
+    altered middle entry loads, and an identity check that reads the entry
+    reports a mismatch.
     """
 
     def __init__(self):
-        # suffix tuple -> list of values indexed by the cutoff t
-        self._strict: dict[Index, list[Fraction]] = {}
-        self._star: dict[Index, list[Fraction]] = {}
+        # suffix tuple -> scaled numerators indexed by the cutoff t
+        self._strict: dict[Index, list[int]] = {}
+        self._star: dict[Index, list[int]] = {}
+        self._lcms: list[int] = [1]  # L_t = lcm(1..t)
 
     def zeta(self, k: Index, m: int) -> Fraction:
-        return self._table(self._strict, k, m, star=False)[m]
+        return Fraction(self.scaled(k, m, False), self.lcm(m) ** sum(k))
 
     def zeta_star(self, k: Index, m: int) -> Fraction:
-        return self._table(self._star, k, m, star=True)[m]
+        return Fraction(self.scaled(k, m, True), self.lcm(m) ** sum(k))
 
-    def _table(self, tables, k: Index, m: int, star: bool) -> list[Fraction]:
-        one = Fraction(1)
+    def scaled(self, k: Index, m: int, star: bool) -> int:
+        """The zeta (or zeta-star) value of k at cutoff m, times lcm(1..m)**weight(k)."""
+        tables = self._star if star else self._strict
+        tab = tables.get(k)
+        if tab is not None and len(tab) > m:
+            return tab[m]
+        self.lcm(m)
+        sub = None
         for start in range(len(k), -1, -1):  # shortest suffix first
             suf = k[start:]
             tab = tables.get(suf)
             if tab is None:
-                tab = tables[suf] = [one] if not suf else [Fraction(0)]
-            if len(tab) > m:
-                continue
-            if not suf:
-                tab.extend([one] * (m + 1 - len(tab)))
-                continue
-            sub = tables[suf[1:]]  # ensured on a previous iteration
-            k0 = suf[0]
-            for t in range(len(tab), m + 1):
-                term = Fraction(1, t**k0) * (sub[t] if star else sub[t - 1])
-                tab.append(tab[t - 1] + term)
-        return tables[k]
+                tab = tables[suf] = [0] if suf else [1]
+            if len(tab) <= m:
+                if suf:
+                    self._extend(tab, sub, suf, m, star)
+                else:
+                    tab.extend([1] * (m + 1 - len(tab)))
+            sub = tab
+        return tab[m]
+
+    def lcm(self, m: int) -> int:
+        """lcm(1..m), extending the shared list as needed."""
+        lcms = self._lcms
+        for t in range(len(lcms), m + 1):
+            lcms.append(math.lcm(lcms[-1], t))
+        return lcms[m]
+
+    def _extend(self, tab: list[int], sub: list[int], suf: Index, m: int, star: bool) -> None:
+        """Append the entries of ``suf``'s table up to cutoff m; ``sub`` is the table of suf[1:]."""
+        lcms = self._lcms
+        k0 = suf[0]
+        w = sum(suf)
+        n = tab[-1]
+        for t in range(len(tab), m + 1):
+            lt = lcms[t]
+            r = lt // lcms[t - 1]
+            s = sub[t] if star else sub[t - 1]
+            if r != 1:  # t is a prime power: bring the cutoff t-1 numerators to L_t
+                n *= r**w
+                if not star:
+                    s *= r ** (w - k0)
+            n += (lt // t) ** k0 * s
+            tab.append(n)
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            pickle.dump((self._strict, self._star), fh, protocol=pickle.HIGHEST_PROTOCOL)
+        """Write the tables to ``path`` via a temporary file in its directory and ``os.replace``."""
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        fh = open(tmp, "wb")
+        try:
+            with fh:
+                pickle.dump((_CACHE_FORMAT, self._strict, self._star), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.flush()
+                os.fsync(fh.fileno())  # on disk before the rename, so a crash cannot leave a partial cache
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "ZetaCache":
-        cache = cls()
+        """Read a cache written by ``save``, after the checks the class docstring lists."""
         with open(path, "rb") as fh:
-            cache._strict, cache._star = pickle.load(fh)
+            data = _BuiltinsOnly(fh).load()
+        if not (type(data) is tuple and len(data) == 3 and data[0] == _CACHE_FORMAT):
+            raise ValueError(f"not a zeta cache in format {_CACHE_FORMAT}")
+        cache = cls()
+        cache._strict = _copied_tables(data[1])
+        cache._star = _copied_tables(data[2])
+        cache.lcm(max(map(len, [*cache._strict.values(), *cache._star.values()]), default=1) - 1)
+        for is_star, tables in ((False, cache._strict), (True, cache._star)):
+            for suf, tab in tables.items():
+                if not suf:
+                    if any(v != 1 for v in tab):
+                        raise ValueError("the table of the empty index is not all ones")
+                    continue
+                sub = tables.get(suf[1:])
+                if sub is None or len(sub) < len(tab):
+                    raise ValueError(f"the table of {suf} has no table of {suf[1:]} to recur on")
+                probe = [0]  # the value at cutoff 0
+                if len(tab) > 1:
+                    probe = tab[:-1]
+                    cache._extend(probe, sub, suf, len(tab) - 1, is_star)
+                if probe[-1] != tab[-1]:
+                    raise ValueError(f"the table of {suf} fails its recurrence at cutoff {len(tab) - 1}")
         return cache
+
+
+def _copied_tables(tables) -> dict[Index, list[int]]:
+    """Loaded tables in fresh containers, so no two can alias; ``ValueError`` if malformed."""
+    if type(tables) is not dict:
+        raise ValueError("the tables are not a dict")
+    copied = {}
+    for suf, tab in tables.items():
+        if not (type(suf) is tuple and all(type(e) is int and e >= 1 for e in suf)):
+            raise ValueError(f"bad table key {suf!r}")
+        if not (type(tab) is list and tab and all(type(v) is int for v in tab)):
+            raise ValueError(f"the table of {suf} is malformed")
+        copied[suf] = list(tab)
+    return copied
 
 
 def _checked(k, m) -> Index:
@@ -142,11 +251,16 @@ def zeta_star_trunc_naive(k, m: int) -> Fraction:
     return total
 
 
+def _scaled_family_sum(family, m, star, cache) -> int:
+    """The family sum times lcm(1..m)**weight: every member of a family has the same weight."""
+    return sum(mult * cache.scaled(k, m, star) for k, mult in family.items())
+
+
 def _family_sum(family, m, star, cache) -> Fraction:
     if cache is None:
         cache = ZetaCache()
-    value = cache.zeta_star if star else cache.zeta
-    return sum((mult * value(k, m) for k, mult in family.items()), Fraction(0))
+    weight = sum(next(iter(family)))
+    return Fraction(_scaled_family_sum(family, m, star, cache), cache.lcm(m) ** weight)
 
 
 def s_direct(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> Fraction:
@@ -201,17 +315,29 @@ def identity_terms(p: int, q: int):
         yield (-1) ** (j + k) * comb(k + l, k) * comb(u + v, u), i, j, k + l, u + v
 
 
-def _identity_rhs(p, q, m, params, base_sum, cache) -> Fraction:
-    c = params.c
-    rhs = Fraction(0)
-    for weight, i, j, r1, r2 in identity_terms(p, q):
-        rhs += (
-            weight
-            * base_sum(i, j, m, params, cache)
-            * cache.zeta_star((c,) * r1, m)
-            * cache.zeta_star((c,) * r2, m)
-        )
-    return rhs
+def _verify_identity(p, q, m, params, family, cache) -> IdentityReport:
+    """Both sides of the (p, q) identity over ``family`` (I or J), compared as integers.
+
+    Every term has the weight of the left side, so each side is a sum of
+    scaled numerators over lcm(1..m)**weight.  Each (i, j) family sum is
+    computed once per call, however many decompositions use it.
+    """
+    if cache is None:
+        cache = ZetaCache()
+    top = family(p, q, params)
+    lhs = _scaled_family_sum(top, m, True, cache)
+    runs = [cache.scaled((params.c,) * r, m, True) for r in range(2 * p + q + 1)]
+    base: dict[tuple[int, int], int] = {}
+    rhs = 0
+    for coeff, i, j, r1, r2 in identity_terms(p, q):
+        s = base.get((i, j))
+        if s is None:
+            s = base[i, j] = _scaled_family_sum(family(i, j, params), m, False, cache)
+        rhs += coeff * s * runs[r1] * runs[r2]
+    den = cache.lcm(m) ** sum(next(iter(top)))
+    lhs_value = Fraction(lhs, den)
+    rhs_value = lhs_value if rhs == lhs else Fraction(rhs, den)
+    return IdentityReport(params, p, q, m, lhs_value, rhs_value, lhs == rhs)
 
 
 def verify_identity_s(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> IdentityReport:
@@ -221,17 +347,9 @@ def verify_identity_s(p: int, q: int, m: int, params: AbcParams, cache: ZetaCach
     combination of s(i, j) with two zeta-star values of c-runs, over all
     decompositions 2i+k+u = 2p, j+l+v = q.
     """
-    if cache is None:
-        cache = ZetaCache()
-    lhs = s_star_direct(p, q, m, params, cache)
-    rhs = _identity_rhs(p, q, m, params, s_direct, cache)
-    return IdentityReport(params, p, q, m, lhs, rhs, lhs == rhs)
+    return _verify_identity(p, q, m, params, index_family_I, cache)
 
 
 def verify_identity_t(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> IdentityReport:
     """Check the finite-cutoff identity for the t-family sums, exactly."""
-    if cache is None:
-        cache = ZetaCache()
-    lhs = t_star_direct(p, q, m, params, cache)
-    rhs = _identity_rhs(p, q, m, params, t_direct, cache)
-    return IdentityReport(params, p, q, m, lhs, rhs, lhs == rhs)
+    return _verify_identity(p, q, m, params, index_family_J, cache)

@@ -215,6 +215,44 @@ class TestVerifyCommand:
         path.write_bytes(b"these are not zeta tables\n")
         self._assert_cache_rejected(path, capsys)
 
+    def test_cache_of_two_ints_exits_two(self, capsys, tmp_path):
+        import pickle
+
+        path = tmp_path / "pair.pkl"
+        path.write_bytes(pickle.dumps((1, 2)))
+        self._assert_cache_rejected(path, capsys)
+
+    def test_cache_of_fraction_tables_exits_two(self, capsys, tmp_path):
+        import pickle
+        from fractions import Fraction
+
+        path = tmp_path / "old.pkl"
+        path.write_bytes(pickle.dumps(({(2,): [Fraction(0), Fraction(1)]}, {})))
+        self._assert_cache_rejected(path, capsys)
+
+    def test_cache_with_altered_last_entry_exits_two(self, capsys, tmp_path):
+        import pickle
+
+        path = tmp_path / "tables.pkl"
+        code, _, _ = run(["verify", "s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..8",
+                          "--cache", str(path)], capsys)
+        assert code == 0
+        tag, strict, star = pickle.loads(path.read_bytes())
+        star[(2, 2)][-1] += 1
+        path.write_bytes(pickle.dumps((tag, strict, star)))
+        self._assert_cache_rejected(path, capsys)
+
+    def test_cache_with_another_format_tag_exits_two(self, capsys, tmp_path):
+        import pickle
+
+        path = tmp_path / "tables.pkl"
+        code, _, _ = run(["verify", "s-identity", "--p", "0", "--q", "0..1", "--m", "0..4",
+                          "--cache", str(path)], capsys)
+        assert code == 0
+        _, strict, star = pickle.loads(path.read_bytes())
+        path.write_bytes(pickle.dumps(("mzvsums-zeta-cache/other", strict, star)))
+        self._assert_cache_rejected(path, capsys)
+
     def test_kinds_without_zeta_tables_reject_cache(self, capsys, tmp_path):
         path = tmp_path / "tables.pkl"
         for argv in (["gen", "--m", "0..1", "--bounds", "1,1"],

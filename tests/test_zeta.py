@@ -172,3 +172,83 @@ class TestCachePersistence:
         cache.save(path)
         loaded = ZetaCache.load(path)
         assert loaded.zeta((2,), 9) == zeta_trunc((2,), 9)
+
+
+ACCEPTANCE_TRIPLES = [P312, AbcParams(4, 2, 3), AbcParams(5, 1, 3), AbcParams(5, 3, 4), AbcParams(2, 2, 2)]
+SMALL_INDICES = [k for n in range(4) for k in itertools.product(range(1, 4), repeat=n)]
+
+
+class TestIntegerTables:
+    """The tables hold value_t * lcm(1..t)**weight as ints; checked against the naive oracles."""
+
+    def test_stepwise_extension_across_prime_powers_matches_fresh_and_naive(self):
+        cache = ZetaCache()
+        for m in range(29):  # passes the prime powers 4, 8, 9, 16, 25, 27
+            for k in SMALL_INDICES:
+                strict, star = zeta_trunc(k, m, cache), zeta_star_trunc(k, m, cache)
+                assert strict == zeta_trunc(k, m) and star == zeta_star_trunc(k, m), (k, m)
+                if m in (3, 4, 8, 9, 16, 25, 27) and len(k) <= 2:
+                    assert strict == zeta_trunc_naive(k, m), (k, m)
+                    assert star == zeta_star_trunc_naive(k, m), (k, m)
+
+    def test_saved_loaded_extended_cache_matches_fresh(self, tmp_path):
+        cache = ZetaCache()
+        for k in SMALL_INDICES:
+            zeta_trunc(k, 7, cache)
+            zeta_star_trunc(k, 7, cache)
+        path = tmp_path / "tables.pkl"
+        cache.save(path)
+        loaded = ZetaCache.load(path)
+        for m in (7, 8, 9, 16, 17):
+            for k in SMALL_INDICES:
+                assert loaded.zeta(k, m) == ZetaCache().zeta(k, m), (k, m)
+                assert loaded.zeta_star(k, m) == ZetaCache().zeta_star(k, m), (k, m)
+
+    def test_every_entry_is_the_value_times_lcm_power(self):
+        cache = ZetaCache()
+        for k in SMALL_INDICES:
+            assert cache.scaled(k, 10, False) == zeta_trunc_naive(k, 10) * cache.lcm(10) ** sum(k)
+            cache.zeta_star(k, 10)
+        for tables, naive in ((cache._strict, zeta_trunc_naive), (cache._star, zeta_star_trunc_naive)):
+            for k, tab in tables.items():
+                for m, entry in enumerate(tab):
+                    assert type(entry) is int
+                    assert Fraction(entry, cache.lcm(m) ** sum(k)) == naive(k, m), (k, m)
+
+    def test_lcm_list(self):
+        cache = ZetaCache()
+        assert [cache.lcm(t) for t in range(11)] == [1, 1, 2, 6, 12, 60, 60, 420, 840, 2520, 2520]
+
+    @pytest.mark.parametrize("params", ACCEPTANCE_TRIPLES)
+    def test_family_members_share_the_identity_weight(self, params):
+        from mzvsums.indices import index_family_I, index_family_J
+
+        b, c = params.b, params.c
+        for p in range(4):
+            for q in range(4):
+                assert {sum(k) for k in index_family_I(p, q, params)} == {c * (2 * p + q)}
+                assert {sum(k) for k in index_family_J(p, q, params)} == {b + c * (2 * p + q)}
+
+
+class TestAtomicSave:
+    def test_failed_dump_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+        import pickle
+
+        path = tmp_path / "tables.pkl"
+        cache = ZetaCache()
+        zeta_star_trunc((2, 1), 9, cache)
+        cache.save(path)
+        before = path.read_bytes()
+
+        def broken_dump(obj, fh, protocol=None):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        zeta_star_trunc((3, 3, 3), 40, cache)
+        monkeypatch.setattr(pickle, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            cache.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tables.pkl"]
+        assert ZetaCache.load(path).zeta_star((2, 1), 9) == zeta_star_trunc((2, 1), 9)
