@@ -13,15 +13,14 @@ Exit codes: 0 all checks passed, 1 at least one exact mismatch (a bug, or a
 falsified identity), 2 malformed parameters or usage.  Diagnostics go to
 stderr; reports go to stdout.
 
-An s/t-identity sweep always runs serially on one shared ``ZetaCache``
-(loaded from ``--cache`` when given): its cases reuse each other's tables.
-The other kinds keep no zeta tables and reject ``--cache``; so does a cache
-file that cannot be read, was written by an older version or fails its
-consistency check (exit 2).
-The kinds whose cases share nothing (``gen``, ``symmetric``, ``frs``,
-``frt``) run in up to ``MZV_THREADS`` worker processes (default 1, serial),
-capped at the CPU count and the number of cases; a value that is not an
-integer >= 1 exits 2.
+Every sweep runs its cases serially in the calling process, in report
+order.  An s/t-identity sweep shares one ``ZetaCache`` across its cases
+(loaded from ``--cache`` when given, saved back afterwards): they reuse each
+other's tables.  The other kinds keep no zeta tables and reject ``--cache``
+(exit 2).  So do an empty ``--cache`` path, one whose directory does not
+exist, a cache file that cannot be read, was written by an older version or
+fails its consistency check, and a cache that cannot be written once the
+sweep is done; each is reported before anything reaches stdout.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import closedform, harmonic, series, zeta
@@ -101,42 +99,19 @@ def _range_str(values: list[int]) -> str:
     return f"{values[0]}..{values[-1]}" if len(values) > 1 else str(values[0])
 
 
-def _threads() -> int:
-    raw = os.environ.get("MZV_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(f"MZV_THREADS: expected an integer >= 1, got {raw!r}")
-    return threads
-
-
-# Workers are module-level so the process pool can pickle them.
-
-def _series_case(args) -> dict:
-    kind, a, b, c, m, bx, by = args
-    params = AbcParams(a, b, c)
-    fn = series.check_star_factorization if kind == "gen" else series.check_symmetric_form
-    rep = fn(m, params, (bx, by))
+def _series_case(check, params, bounds, m) -> dict:
+    rep = check(m, params, bounds)
     return {"m": m, "equal": rep.equal, "mismatches": rep.mismatches}
 
 
-def _word_case(args) -> dict:
-    kind, a, b, c, p, q = args
-    params = AbcParams(a, b, c)
-    fn = harmonic.verify_identity_s_symbolic if kind == "frs" else harmonic.verify_identity_t_symbolic
-    rep = fn(p, q, params)
+def _word_case(check, params, p, q) -> dict:
+    rep = check(p, q, params)
     return {"p": p, "q": q, "lhs_terms": rep.lhs_terms, "rhs_terms": rep.rhs_terms, "equal": rep.equal}
 
 
 def _map_cases(worker, arglist) -> list[dict]:
-    workers = min(_threads(), os.cpu_count() or 1, len(arglist))
-    if workers > 1:
-        chunk = max(1, len(arglist) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, arglist, chunksize=chunk))
-    return [worker(args) for args in arglist]
+    """``worker(*args)`` for each argument tuple, in order."""
+    return [worker(*args) for args in arglist]
 
 
 def _run_verify(ns) -> tuple[dict, int]:
@@ -168,12 +143,12 @@ def _run_verify(ns) -> tuple[dict, int]:
         if bx < 0 or by < 0:
             raise UsageError("--bounds: bounds must be non-negative")
         report_params.update(m=_range_str(ms), bounds=f"{bx},{by}")
-        grid = [(kind, params.a, params.b, params.c, m, bx, by) for m in ms]
-        cases = _map_cases(_series_case, grid)
+        check = series.check_star_factorization if kind == "gen" else series.check_symmetric_form
+        cases = _map_cases(_series_case, [(check, params, (bx, by), m) for m in ms])
     elif kind in ("frs", "frt"):
         report_params.update(p=_range_str(ps), q=_range_str(qs))
-        grid = [(kind, params.a, params.b, params.c, p, q) for p in ps for q in qs]
-        cases = _map_cases(_word_case, grid)
+        check = harmonic.verify_identity_s_symbolic if kind == "frs" else harmonic.verify_identity_t_symbolic
+        cases = _map_cases(_word_case, [(check, params, p, q) for p in ps for q in qs])
     else:  # homomorphism
         if ns.count < 1:
             raise UsageError(f"--count: expected an integer >= 1, got {ns.count}")
@@ -215,17 +190,26 @@ def _run_verify(ns) -> tuple[dict, int]:
 
 
 def _load_cache(path) -> zeta.ZetaCache:
-    if path and os.path.exists(path):
+    if path is None:
+        return zeta.ZetaCache()
+    if not path:
+        raise UsageError("--cache: expected a file path, got ''")
+    if os.path.exists(path):
         try:
             return zeta.ZetaCache.load(path)
         except Exception as exc:  # unpickling can fail in any way a bad file allows
             raise UsageError(f"--cache: cannot read {path}: {type(exc).__name__}: {exc}") from None
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"--cache: the directory of {path} does not exist")
     return zeta.ZetaCache()
 
 
 def _save_cache(path, cache) -> None:
     if path:
-        cache.save(path)
+        try:
+            cache.save(path)
+        except OSError as exc:
+            raise UsageError(f"--cache: cannot write {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _emit_report(report: dict, fmt: str, out) -> None:

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import multiprocessing.process
+
 import pytest
 
 from mzvsums import cli
@@ -56,67 +58,33 @@ class TestVerifyCommand:
         ):
             monkeypatch.delenv("MZV_THREADS", raising=False)
             _, serial_out, _ = run(argv, capsys)
-            monkeypatch.setenv("MZV_THREADS", "3")
-            _, parallel_out, _ = run(argv, capsys)
-            serial, parallel = json.loads(serial_out), json.loads(parallel_out)
-            serial.pop("elapsed_ms"), parallel.pop("elapsed_ms")
-            assert serial == parallel
-
-    def test_pool_is_capped_by_threads_cpus_and_cases(self, capsys, monkeypatch):
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        for threads, m_range in (("64", "0..2"), ("64", "0..9"), ("2", "0..9"), ("1", "0..9")):
-            monkeypatch.setenv("MZV_THREADS", threads)
-            code, _, _ = run(["verify", "gen", "--m", m_range, "--bounds", "1,1"], capsys)
-            assert code == 0
-        assert sizes == [3, 4, 2]
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        monkeypatch.setenv("MZV_THREADS", "64")
-        code, _, _ = run(["verify", "frs", "--p", "0..1", "--q", "0..1"], capsys)
-        assert code == 0
-        assert sizes == [3, 4, 2]
+            serial = json.loads(serial_out)
+            serial.pop("elapsed_ms")
+            for threads in ("3", "two", "0", "-2"):
+                monkeypatch.setenv("MZV_THREADS", threads)
+                code, out, _ = run(argv, capsys)
+                assert code == 0
+                report = json.loads(out)
+                report.pop("elapsed_ms")
+                assert report == serial
 
     def test_identity_sweeps_never_start_a_pool(self, capsys, monkeypatch, tmp_path):
-        def no_pool(max_workers):
-            raise AssertionError("identity sweeps run serially on one cache")
+        def no_process(self):
+            raise AssertionError("every sweep runs in the calling process")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
         monkeypatch.setenv("MZV_THREADS", "4")
-        for kind in ("s-identity", "t-identity"):
-            for extra in ([], ["--cache", str(tmp_path / "tables.pkl")]):
-                code, _, _ = run(["verify", kind, "--p", "0..1", "--q", "0..1", "--m", "0..4", *extra], capsys)
-                assert code == 0
-
-    def test_non_integer_threads_exit_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("MZV_THREADS", "two")
-        code, out, err = run(["verify", "gen", "--m", "0..2", "--bounds", "2,2"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: MZV_THREADS") and err.count("\n") == 1
-
-    def test_threads_below_one_exit_two(self, capsys, monkeypatch):
-        for value in ("0", "-2"):
-            monkeypatch.setenv("MZV_THREADS", value)
-            code, out, err = run(["verify", "frs", "--p", "0", "--q", "0..1"], capsys)
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error: MZV_THREADS") and err.count("\n") == 1
+        for argv in (["s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..4"],
+                     ["s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..4",
+                      "--cache", str(tmp_path / "tables.pkl")],
+                     ["t-identity", "--p", "0..1", "--q", "0..1", "--m", "0..4"],
+                     ["gen", "--m", "0..5", "--bounds", "2,2"],
+                     ["symmetric", "--m", "0..5", "--bounds", "2,2"],
+                     ["frs", "--p", "0..1", "--q", "0..1"],
+                     ["frt", "--p", "0..1", "--q", "0..1"],
+                     ["homomorphism", "--m", "0..2", "--count", "4"]):
+            code, _, _ = run(["verify", *argv], capsys)
+            assert code == 0
 
     def test_nonpositive_count_exits_two(self, capsys):
         for count in ("0", "-3"):
@@ -252,6 +220,28 @@ class TestVerifyCommand:
         _, strict, star = pickle.loads(path.read_bytes())
         path.write_bytes(pickle.dumps(("mzvsums-zeta-cache/other", strict, star)))
         self._assert_cache_rejected(path, capsys)
+
+    def test_unusable_cache_path_exits_two_before_any_case(self, capsys, monkeypatch, tmp_path):
+        def no_case(*args):
+            raise AssertionError("the cache path is checked before any case runs")
+
+        monkeypatch.setattr(cli.zeta, "verify_identity_s", no_case)
+        monkeypatch.setattr(cli.zeta, "verify_identity_t", no_case)
+        for kind in ("s-identity", "t-identity"):
+            for path in ("", str(tmp_path / "missing" / "tables.pkl")):
+                code, out, err = run(["verify", kind, "--p", "0", "--q", "0", "--m", "0..2",
+                                      "--cache", path], capsys)
+                assert code == 2
+                assert out == ""
+                assert err.startswith("error: --cache") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_cache_that_cannot_be_written_exits_two(self, capsys, monkeypatch, tmp_path):
+        def refuse(cache, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli.zeta.ZetaCache, "save", refuse)
+        self._assert_cache_rejected(tmp_path / "tables.pkl", capsys)
 
     def test_kinds_without_zeta_tables_reject_cache(self, capsys, tmp_path):
         path = tmp_path / "tables.pkl"
