@@ -59,16 +59,19 @@ __all__ = [
 class HPoly:
     """Finite rational linear combination of words, in canonical form.
 
-    The term map never stores zero coefficients, so ``==`` is structural.
-    Addition, subtraction and scalar multiplication are the vector-space
-    operations; the algebra products live in :func:`concat` and
-    :func:`harmonic_mul`.
+    Words must be valid indices and coefficients ``int`` or ``Fraction``; the
+    term map never stores zero coefficients, so ``==`` is structural.  The
+    vector-space operations are methods; the algebra products live in
+    :func:`concat` and :func:`harmonic_mul`.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Word, Fraction] | None = None):
-        self.terms = {w: Fraction(v) for w, v in (terms or {}).items() if v != 0}
+    def __init__(self, terms: dict[Word, int | Fraction] | None = None):
+        for v in (terms or {}).values():
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise TypeError(f"coefficients must be int or Fraction, got {v!r}")
+        self.terms = {validate_index(w): v for w, v in (terms or {}).items() if v}
 
     @classmethod
     def zero(cls) -> "HPoly":
@@ -76,16 +79,15 @@ class HPoly:
 
     @classmethod
     def unit(cls) -> "HPoly":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def word(cls, letters) -> "HPoly":
-        return cls({validate_index(letters): Fraction(1)})
+        return cls({tuple(letters): 1})
 
     def __add__(self, other: "HPoly") -> "HPoly":
         out = dict(self.terms)
-        for w, v in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + v
+        _add_into(out, other.terms, 1)
         return HPoly(out)
 
     def __neg__(self) -> "HPoly":
@@ -125,39 +127,51 @@ class HPoly:
         return " + ".join(parts)
 
 
+def _add_into(out: dict, terms: dict, scale) -> None:
+    """out += scale * terms, on term maps."""
+    for w, v in terms.items():
+        out[w] = out.get(w, 0) + scale * v
+
+
 def concat(u: HPoly, v: HPoly) -> HPoly:
     """Bilinear word concatenation (the free, noncommutative product)."""
-    out: dict[Word, Fraction] = {}
+    out: dict = {}
     for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            w = w1 + w2
-            out[w] = out.get(w, Fraction(0)) + c1 * c2
+        _add_into(out, {w1 + w2: c2 for w2, c2 in v.terms.items()}, c1)
     return HPoly(out)
 
 
-def _prefix_into(out: dict, letter: int, terms: dict, scale: Fraction) -> None:
+def _prefix_into(out: dict, letter: int, terms: dict) -> None:
     for w, v in terms.items():
         key = (letter,) + w
-        out[key] = out.get(key, Fraction(0)) + scale * v
+        out[key] = out.get(key, 0) + v
 
 
-def _harmonic_words(w1: Word, w2: Word, memo: dict) -> dict[Word, Fraction]:
+def _harmonic_words(w1: Word, w2: Word, memo: dict) -> dict[Word, int]:
     if not w1:
-        return {w2: Fraction(1)}
+        return {w2: 1}
     if not w2:
-        return {w1: Fraction(1)}
+        return {w1: 1}
     key = (w1, w2)
     cached = memo.get(key)
     if cached is not None:
         return cached
     k, rest1 = w1[0], w1[1:]
     l, rest2 = w2[0], w2[1:]
-    out: dict[Word, Fraction] = {}
-    one = Fraction(1)
-    _prefix_into(out, k, _harmonic_words(rest1, w2, memo), one)
-    _prefix_into(out, l, _harmonic_words(w1, rest2, memo), one)
-    _prefix_into(out, k + l, _harmonic_words(rest1, rest2, memo), one)
+    out: dict[Word, int] = {}
+    _prefix_into(out, k, _harmonic_words(rest1, w2, memo))
+    _prefix_into(out, l, _harmonic_words(w1, rest2, memo))
+    _prefix_into(out, k + l, _harmonic_words(rest1, rest2, memo))
     memo[key] = out
+    return out
+
+
+def _mul_terms(a: dict, b: dict, memo: dict) -> dict:
+    """Quasi-shuffle product of two term maps; word pairs are looked up in *memo*."""
+    out: dict = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            _add_into(out, _harmonic_words(w1, w2, memo), c1 * c2)
     return out
 
 
@@ -168,28 +182,28 @@ def harmonic_mul(u: HPoly, v: HPoly) -> HPoly:
     total word length strictly decreases, so it terminates.  Word-pair
     results are memoized for the duration of the call.
     """
-    memo: dict = {}
-    out: dict[Word, Fraction] = {}
-    for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            scale = c1 * c2
-            for w, v0 in _harmonic_words(w1, w2, memo).items():
-                out[w] = out.get(w, Fraction(0)) + scale * v0
-    return HPoly(out)
+    return HPoly(_mul_terms(u.terms, v.terms, {}))
 
 
-def _star_words(w: Word, memo: dict) -> dict[Word, Fraction]:
+def _star_words(w: Word, memo: dict) -> dict[Word, int]:
     if len(w) <= 1:
-        return {w: Fraction(1)}
+        return {w: 1}
     cached = memo.get(w)
     if cached is not None:
         return cached
     k, l, rest = w[0], w[1], w[2:]
-    out: dict[Word, Fraction] = {}
-    _prefix_into(out, k, _star_words((l,) + rest, memo), Fraction(1))
-    for merged, v in _star_words((k + l,) + rest, memo).items():
-        out[merged] = out.get(merged, Fraction(0)) + v
+    out: dict[Word, int] = {}
+    _prefix_into(out, k, _star_words((l,) + rest, memo))
+    _add_into(out, _star_words((k + l,) + rest, memo), 1)
     memo[w] = out
+    return out
+
+
+def _star_terms(a: dict, memo: dict) -> dict:
+    """Star expansion of a term map; words are looked up in *memo*."""
+    out: dict = {}
+    for w, c in a.items():
+        _add_into(out, _star_words(w, memo), c)
     return out
 
 
@@ -199,12 +213,7 @@ def star_expand(u: HPoly) -> HPoly:
     A single word of length n >= 1 maps to 2^(n-1) words counted with
     multiplicity; the empty word is fixed.
     """
-    memo: dict = {}
-    out: dict[Word, Fraction] = {}
-    for w, c in u.terms.items():
-        for w2, v in _star_words(w, memo).items():
-            out[w2] = out.get(w2, Fraction(0)) + c * v
-    return HPoly(out)
+    return HPoly(_star_terms(u.terms, {}))
 
 
 def z_eval(u: HPoly, m: int, cache: ZetaCache | None = None) -> Fraction:
@@ -227,12 +236,12 @@ def z_star_eval(u: HPoly, m: int, cache: ZetaCache | None = None) -> Fraction:
 
 def word_sum_s(p: int, q: int, params: AbcParams) -> HPoly:
     """The s-family as a word sum: one word per index of index_family_I(p, q)."""
-    return HPoly({w: Fraction(mult) for w, mult in index_family_I(p, q, params).items()})
+    return HPoly(index_family_I(p, q, params))
 
 
 def word_sum_t(p: int, q: int, params: AbcParams) -> HPoly:
     """The t-family as a word sum over index_family_J(p, q)."""
-    return HPoly({w: Fraction(mult) for w, mult in index_family_J(p, q, params).items()})
+    return HPoly(index_family_J(p, q, params))
 
 
 @dataclass(frozen=True)
@@ -247,14 +256,24 @@ class WordIdentityReport:
     equal: bool
 
 
-def _verify_word_identity(p: int, q: int, params: AbcParams, family_sum) -> WordIdentityReport:
-    c = params.c
-    lhs = star_expand(family_sum(p, q, params))
-    star_runs = {r: star_expand(HPoly.word((c,) * r)) for r in range(2 * p + q + 1)}
-    rhs = HPoly.zero()
+def _verify_word_identity(p: int, q: int, params: AbcParams, family) -> WordIdentityReport:
+    """Both sides of the (p, q) identity over ``family`` (I or J), in integers.
+
+    The product is bilinear, so each run product S(c^r1) * S(c^r2) is built
+    once per {r1, r2} and summed, weighted, into one combination per (i, j),
+    which multiplies that family once.  The word memos serve the whole check.
+    """
+    star_memo, mul_memo, products, combos, rhs = {}, {}, {}, {}, {}
+    lhs = _star_terms(family(p, q, params), star_memo)
+    runs = [_star_words((params.c,) * r, star_memo) for r in range(2 * p + q + 1)]
     for weight, i, j, r1, r2 in identity_terms(p, q):
-        term = harmonic_mul(family_sum(i, j, params), harmonic_mul(star_runs[r1], star_runs[r2]))
-        rhs = rhs + weight * term
+        pair = (min(r1, r2), max(r1, r2))
+        if pair not in products:
+            products[pair] = _mul_terms(runs[r1], runs[r2], mul_memo)
+        _add_into(combos.setdefault((i, j), {}), products[pair], weight)
+    for (i, j), combo in combos.items():
+        _add_into(rhs, _mul_terms(family(i, j, params), {w: v for w, v in combo.items() if v}, mul_memo), 1)
+    rhs = {w: v for w, v in rhs.items() if v}
     return WordIdentityReport(params, p, q, len(lhs), len(rhs), lhs == rhs)
 
 
@@ -266,9 +285,9 @@ def verify_identity_s_symbolic(p: int, q: int, params: AbcParams) -> WordIdentit
     expansions of two c-runs.  Holding here (not just after evaluation) is
     strictly stronger than the numeric identity at any single cutoff.
     """
-    return _verify_word_identity(p, q, params, word_sum_s)
+    return _verify_word_identity(p, q, params, index_family_I)
 
 
 def verify_identity_t_symbolic(p: int, q: int, params: AbcParams) -> WordIdentityReport:
     """Check the t-family identity in the word algebra."""
-    return _verify_word_identity(p, q, params, word_sum_t)
+    return _verify_word_identity(p, q, params, index_family_J)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzvsums import harmonic
 from mzvsums.harmonic import (
     HPoly,
     concat,
@@ -18,8 +19,8 @@ from mzvsums.harmonic import (
     z_eval,
     z_star_eval,
 )
-from mzvsums.indices import AbcParams
-from mzvsums.zeta import ZetaCache, s_star_direct, t_star_direct, zeta_star_trunc, zeta_trunc
+from mzvsums.indices import AbcParams, index_family_I, index_family_J
+from mzvsums.zeta import ZetaCache, identity_terms, s_star_direct, t_star_direct, zeta_star_trunc, zeta_trunc
 
 P312 = AbcParams(3, 1, 2)
 P423 = AbcParams(4, 2, 3)
@@ -57,6 +58,19 @@ class TestHPoly:
     def test_rejects_bad_letters(self):
         with pytest.raises(ValueError):
             HPoly.word((0, 2))
+
+    @pytest.mark.parametrize("word", [(0,), (2, -1), (2, 1.0), (True,)])
+    def test_constructor_rejects_invalid_words(self, word):
+        with pytest.raises(ValueError):
+            HPoly({word: 1})
+
+    @pytest.mark.parametrize("coeff", [0.1, "1/3", True, 1.0])
+    def test_constructor_rejects_inexact_coefficients(self, coeff):
+        with pytest.raises(TypeError):
+            HPoly({(2,): coeff})
+
+    def test_constructor_keeps_exact_coefficients(self):
+        assert HPoly({(2,): Fraction(1, 3), (3,): 2, (4,): 0}).terms == {(2,): Fraction(1, 3), (3,): 2}
 
 
 class TestConcat:
@@ -223,3 +237,57 @@ class TestInjectivityProbe:
         ]
         for u, v in pairs:
             assert any(z_eval(u, m) != z_eval(v, m) for m in range(51)), (u, v)
+
+
+ACCEPTANCE_TRIPLES = [P312, P423, AbcParams(5, 1, 3), AbcParams(5, 3, 4), AbcParams(2, 2, 2)]
+
+
+def _abc_id(params):
+    return ",".join(map(str, params.as_tuple()))
+
+
+def _per_row_symbolic(p, q, params, family):
+    """Test-only oracle: one harmonic_mul per identity_terms row, on Fraction coefficients.
+
+    Returns (lhs_terms, rhs_terms, equal) as a WordIdentityReport states them.
+    """
+
+    def word_sum(i, j):
+        return HPoly({word: Fraction(n) for word, n in family(i, j, params).items()})
+
+    lhs = star_expand(word_sum(p, q))
+    star_runs = {r: star_expand(HPoly({(params.c,) * r: Fraction(1)})) for r in range(2 * p + q + 1)}
+    rhs = HPoly.zero()
+    for weight, i, j, r1, r2 in identity_terms(p, q):
+        rhs = rhs + weight * harmonic_mul(word_sum(i, j), harmonic_mul(star_runs[r1], star_runs[r2]))
+    return len(lhs), len(rhs), lhs == rhs
+
+
+class TestGroupedSymbolicCheck:
+    # (6,2,4) is a triple no other test uses.
+    @pytest.mark.parametrize("params", ACCEPTANCE_TRIPLES + [AbcParams(6, 2, 4)], ids=_abc_id)
+    @pytest.mark.parametrize(
+        "check, family",
+        [(verify_identity_s_symbolic, index_family_I), (verify_identity_t_symbolic, index_family_J)],
+        ids=["s", "t"],
+    )
+    def test_matches_the_per_row_oracle(self, check, family, params):
+        for p in range(3):
+            for q in range(4):
+                rep = check(p, q, params)
+                assert (rep.lhs_terms, rep.rhs_terms, rep.equal) == _per_row_symbolic(p, q, params, family), (p, q)
+
+    @pytest.mark.parametrize("p, q", [(2, 1), (1, 2)])
+    def test_a_weight_off_by_one_in_any_row_is_caught(self, monkeypatch, p, q):
+        rows = list(identity_terms(p, q))
+        for bad in range(len(rows)):
+            mutated = [(weight + (k == bad), *rest) for k, (weight, *rest) in enumerate(rows)]
+            monkeypatch.setattr(harmonic, "identity_terms", lambda p_, q_, mutated=mutated: iter(mutated))
+            assert verify_identity_s_symbolic(p, q, P312).equal is False, bad
+            assert verify_identity_t_symbolic(p, q, P312).equal is False, bad
+
+    @pytest.mark.parametrize("params", ACCEPTANCE_TRIPLES, ids=_abc_id)
+    def test_weight_nine_cells_hold_exactly(self, params):
+        for check in (verify_identity_s_symbolic, verify_identity_t_symbolic):
+            rep = check(3, 3, params)
+            assert rep.equal and rep.lhs_terms == rep.rhs_terms > 0
