@@ -15,21 +15,27 @@ Both steps are the recurrence ``H[i][j] += H[i][j-1]/l^c + H[i-1][j]/l^e``
 (e = a for even i, b for odd i).  Run in decreasing (i, j) it reads old
 coefficients and applies the plain step; run in increasing (i, j) it reads
 the new ones and so solves M_l v_l = v_(l-1), which is triangular in degree
-order.  The run series ``zeta_run_poly`` / ``zeta_star_run_poly``, whose
-coefficients are the values of constant indices (c, ..., c), are the x^0 row
-of such a grid with bound_x = 0.  ``step_matrix``, ``step_matrix_star`` and
-``Mat2`` build the steps literally (the star prefactor as truncated geometric
-series); they are kept as the oracle for the recurrence, off the hot path.
+order.  The run series ``zeta_run_poly`` / ``zeta_star_run_poly`` (values of
+constant indices (c, ..., c)) are the x^0 row of such a grid with bound_x = 0.
+
+The grid holds scaled numerators N[i][j] = H[i][j] L_m^w(i,j), L_m = lcm(1..m),
+w(i, j) = ceil(i/2) b + floor(i/2) a + c j: a prime-power level l first
+multiplies each cell by (L_l/L_(l-1))^w, then the recurrence multiplies by
+(L_l/l)^c and (L_l/l)^e.  One ``Fraction`` per coefficient is built only where
+a value leaves the module.  As a + b = 2c, every x^i y^j cell of F, F* and of
+a run factor h(+-x +- y) has weight c(i + j), so the identity checks compare
+integer grids over L_m^(c(i + j)) cell by cell.  The literal forms
+(``step_matrix*``, ``Mat2``, ``*_sides``) stay as the oracle, off the hot path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .indices import AbcParams
+from .indices import AbcParams, _check_pq
 
 __all__ = [
     "BivarPoly",
@@ -252,7 +258,7 @@ class UnivarPoly:
                 i, j = s, r - s
                 if i > bound_x or j > bound_y:
                     continue
-                term = cr * comb(r, s) * alpha**s * beta ** (r - s)
+                term = cr * math.comb(r, s) * alpha**s * beta ** (r - s)
                 if term:
                     out[(i, j)] = out.get((i, j), Fraction(0)) + term
         return BivarPoly(out, bound_x, bound_y)
@@ -326,71 +332,91 @@ def step_matrix_star(l: int, params: AbcParams, bound_x: int, bound_y: int) -> M
     return Mat2(diag * pref, upper * pref, lower * pref, diag * pref)
 
 
+def _weight(exponents: tuple[int, int, int], i: int, j: int) -> int:
+    """w(i, j): the x^i y^j cell has ceil(i/2) letters b, floor(i/2) letters a and j letters c."""
+    return (i + 1) // 2 * exponents[1] + i // 2 * exponents[0] + j * exponents[2]
+
+
 def _grids(exponents: tuple[int, int, int], bounds: tuple[int, int], star: bool):
-    """Yield one coefficient grid at cutoffs m = 0, 1, 2, ..., advanced in place."""
-    bx, by = bounds  # a negative bound fails where the grid becomes a polynomial
-    grid = [[Fraction(int(i == j == 0)) for j in range(by + 1)] for i in range(bx + 1)]
+    """Yield the scaled grid N and L_m at cutoffs m = 0, 1, 2, ..., N advanced in place."""
+    if min(bounds) < 0:
+        raise ValueError("truncation bounds must be non-negative")
+    weights = [[_weight(exponents, i, j) for j in range(bounds[1] + 1)] for i in range(bounds[0] + 1)]
+    grid = [[int(i == j == 0) for j in range(bounds[1] + 1)] for i in range(bounds[0] + 1)]
     order = 1 if star else -1
+    lcm = 1
     for l in itertools.count(1):
-        yield grid
-        la, lb, lc = (l**e for e in exponents)
+        yield grid, lcm
+        r = math.lcm(lcm, l) // lcm
+        lcm *= r
+        if r > 1:  # l is a prime power: rescale every cell from L_(l-1) to L_l
+            for row, row_weights in zip(grid, weights):
+                row[:] = [v * r**w for v, w in zip(row, row_weights)]
+        qa, qb, qc = ((lcm // l) ** e for e in exponents)
         for i in range(len(grid))[::order]:
-            row, below, cross = grid[i], grid[i - 1], lb if i % 2 else la
+            row, below, cross = grid[i], grid[i - 1], qb if i % 2 else qa
             for j in range(len(row))[::order]:
                 if j:
-                    row[j] += row[j - 1] / lc
+                    row[j] += row[j - 1] * qc
                 if i:
-                    row[j] += below[j] / cross
+                    row[j] += below[j] * cross
 
 
-def _pair(grid, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
-    """Split a grid into (F, G): the even and the odd x-degree rows."""
+def _pair(scaled, params: AbcParams, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
+    """Split a scaled grid into (F, G), the even and the odd x-degree rows, as Fractions."""
+    grid, lcm = scaled
     coeffs = ({}, {})
     for i, row in enumerate(grid):
-        coeffs[i % 2].update(((i, j), v) for j, v in enumerate(row))
+        for j, v in enumerate(row):
+            coeffs[i % 2][i, j] = Fraction(v, lcm ** _weight(params.as_tuple(), i, j))
     return BivarPoly(coeffs[0], *bounds), BivarPoly(coeffs[1], *bounds)
 
 
-def _nth(iterator, m: int):
+def _at(m: int, exponents: tuple[int, int, int], bounds: tuple[int, int], star: bool):
+    """The scaled grid and L_m at cutoff m."""
     if m < 0:
         raise ValueError(f"cutoff m must be non-negative, got {m}")
-    for _ in range(m):
-        next(iterator)
-    return next(iterator)
+    return next(itertools.islice(_grids(exponents, bounds, star), m, None))
 
 
 def iter_family_series(params: AbcParams, bounds: tuple[int, int]):
     """Yield the plain series pair (F, G) at cutoffs m = 0, 1, 2, ... indefinitely."""
-    return (_pair(grid, bounds) for grid in _grids(params.as_tuple(), bounds, False))
+    return (_pair(scaled, params, bounds) for scaled in _grids(params.as_tuple(), bounds, False))
 
 
 def iter_family_series_star(params: AbcParams, bounds: tuple[int, int]):
     """Yield the star series pair (F*, G*) at cutoffs m = 0, 1, 2, ... indefinitely."""
-    return (_pair(grid, bounds) for grid in _grids(params.as_tuple(), bounds, True))
+    return (_pair(scaled, params, bounds) for scaled in _grids(params.as_tuple(), bounds, True))
 
 
 def family_series(m: int, params: AbcParams, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
     """The cutoff-m series pair (F, G); exact polynomials when bounds cover degree m."""
-    return _pair(_nth(_grids(params.as_tuple(), bounds, False), m), bounds)
+    return _pair(_at(m, params.as_tuple(), bounds, False), params, bounds)
 
 
 def family_series_star(m: int, params: AbcParams, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
     """The cutoff-m star series pair (F*, G*), truncated to ``bounds``."""
-    return _pair(_nth(_grids(params.as_tuple(), bounds, True), m), bounds)
+    return _pair(_at(m, params.as_tuple(), bounds, True), params, bounds)
+
+
+def _run_poly(m: int, c: int, bound: int, star: bool) -> UnivarPoly:
+    (row,), lcm = _at(m, (c, c, c), (0, bound), star)
+    return UnivarPoly([Fraction(v, lcm ** (c * r)) for r, v in enumerate(row)], bound)
 
 
 def zeta_run_poly(m: int, c: int, bound: int) -> UnivarPoly:
     """Product over l = 1..m of (1 + z/l^c); coefficient of z^r is zeta_m((c,)*r)."""
-    return UnivarPoly(_nth(_grids((c, c, c), (0, bound), False), m)[0], bound)
+    return _run_poly(m, c, bound, False)
 
 
 def zeta_star_run_poly(m: int, c: int, bound: int) -> UnivarPoly:
     """Truncated product over l = 1..m of 1/(1 - z/l^c); z^r carries zeta_star_m((c,)*r)."""
-    return UnivarPoly(_nth(_grids((c, c, c), (0, bound), True), m)[0], bound)
+    return _run_poly(m, c, bound, True)
 
 
 def extract_s(f: BivarPoly, p: int, q: int) -> Fraction:
     """Read s(p, q) off the plain/star series: the x^(2p) y^q coefficient."""
+    _check_pq(p, q)
     if 2 * p > f.bound_x or q > f.bound_y:
         raise ValueError(f"(p={p}, q={q}) exceeds truncation bounds ({f.bound_x},{f.bound_y})")
     return f.coeff(2 * p, q)
@@ -398,6 +424,7 @@ def extract_s(f: BivarPoly, p: int, q: int) -> Fraction:
 
 def extract_t(g: BivarPoly, p: int, q: int) -> Fraction:
     """Read t(p, q) off the series: the x^(2p+1) y^q coefficient."""
+    _check_pq(p, q)
     if 2 * p + 1 > g.bound_x or q > g.bound_y:
         raise ValueError(f"(p={p}, q={q}) exceeds truncation bounds ({g.bound_x},{g.bound_y})")
     return g.coeff(2 * p + 1, q)
@@ -437,19 +464,35 @@ def symmetric_form_sides(
     return lhs, f.flip_y()
 
 
-def _count_mismatches(lhs: BivarPoly, rhs: BivarPoly) -> int:
-    keys = set(lhs.coeffs) | set(rhs.coeffs)
-    return sum(1 for k in keys if lhs.coeff(*k) != rhs.coeff(*k))
+def _f_rows(m: int, params: AbcParams, bounds: tuple[int, int], star: bool, sign_y: int):
+    """F(x, sign_y*y), or F* if star, at cutoff m: the scaled grid's even rows, odd rows zeroed."""
+    grid = _at(m, params.as_tuple(), bounds, star)[0]
+    return [[v * sign_y**j if i % 2 == 0 else 0 for j, v in enumerate(row)] for i, row in enumerate(grid)]
+
+
+def _linear(h: list[int], alpha: int, beta: int, bx: int, by: int):
+    """The grid of h(alpha*x + beta*y), alpha and beta = +-1; h_r spreads over the cells i + j = r."""
+    return [[math.comb(i + j, i) * alpha**i * beta**j * h[i + j] for j in range(by + 1)] for i in range(bx + 1)]
+
+
+def _mul(p, q):
+    """Truncated product of two dense grids of one shape."""
+    nx, ny = len(p), len(p[0])
+    out = [[0] * ny for _ in range(nx)]
+    for i1, j1 in itertools.product(range(nx), range(ny)):
+        if v := p[i1][j1]:
+            for i2, j2 in itertools.product(range(nx - i1), range(ny - j1)):
+                out[i1 + i2][j1 + j2] += v * q[i2][j2]
+    return out
 
 
 def check_star_factorization(m: int, params: AbcParams, bounds: tuple[int, int]) -> SeriesIdentityReport:
     """Verify the star-series factorization through the plain series at cutoff m."""
     bx, by = bounds
-    f, _ = family_series(m, params, (bx, by))
-    fstar, _ = family_series_star(m, params, (bx, by))
-    hstar = zeta_star_run_poly(m, params.c, bx + by)
-    lhs, rhs = star_factorization_sides(f, fstar, hstar)
-    n_bad = _count_mismatches(lhs, rhs)
+    f, fstar = _f_rows(m, params, bounds, False, -1), _f_rows(m, params, bounds, True, 1)
+    hstar = _at(m, (params.c,) * 3, (0, bx + by), True)[0][0]
+    rhs = _mul(_mul(f, _linear(hstar, -1, 1, bx, by)), _linear(hstar, 1, 1, bx, by))
+    n_bad = sum(u != v for lrow, rrow in zip(fstar, rhs) for u, v in zip(lrow, rrow))
     return SeriesIdentityReport("star-factorization", params, m, bounds, n_bad == 0, n_bad)
 
 
@@ -460,12 +503,9 @@ def check_symmetric_form(m: int, params: AbcParams, bounds: tuple[int, int]) -> 
     rearrangement rests on.
     """
     bx, by = bounds
-    f, _ = family_series(m, params, (bx, by))
-    fstar, _ = family_series_star(m, params, (bx, by))
-    h = zeta_run_poly(m, params.c, bx + by)
-    hstar = zeta_star_run_poly(m, params.c, bx + by)
-    lhs, rhs = symmetric_form_sides(f, fstar, h)
-    n_bad = _count_mismatches(lhs, rhs)
-    if hstar * h.flip() != UnivarPoly.one(bx + by):
-        n_bad += 1
+    f, fstar = _f_rows(m, params, bounds, False, -1), _f_rows(m, params, bounds, True, 1)
+    h, hstar = (_at(m, (params.c,) * 3, (0, bx + by), star)[0][0] for star in (False, True))
+    lhs = _mul(_mul(fstar, _linear(h, 1, -1, bx, by)), _linear(h, -1, -1, bx, by))
+    n_bad = sum(u != v for lrow, rrow in zip(lhs, f) for u, v in zip(lrow, rrow))
+    n_bad += _mul([hstar], [[(-1) ** r * v for r, v in enumerate(h)]]) != [[1] + [0] * (bx + by)]
     return SeriesIdentityReport("symmetric-form", params, m, bounds, n_bad == 0, n_bad)

@@ -1,9 +1,11 @@
 """Generating series: truncated polynomial arithmetic and the matrix recursions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from mzvsums import series
 from mzvsums.indices import AbcParams
 from mzvsums.series import (
     BivarPoly,
@@ -17,8 +19,10 @@ from mzvsums.series import (
     family_series_star,
     iter_family_series,
     iter_family_series_star,
+    star_factorization_sides,
     step_matrix,
     step_matrix_star,
+    symmetric_form_sides,
     zeta_run_poly,
     zeta_star_run_poly,
 )
@@ -34,6 +38,7 @@ from mzvsums.zeta import (
 
 P312 = AbcParams(3, 1, 2)
 ALL_PARAMS = [P312, AbcParams(4, 2, 3), AbcParams(5, 1, 3), AbcParams(5, 3, 4), AbcParams(2, 2, 2)]
+SIX_PARAMS = ALL_PARAMS + [AbcParams(6, 2, 4)]
 
 F = Fraction
 
@@ -177,6 +182,14 @@ class TestFamilySeries:
             assert all(i % 2 == 1 for i, _ in g.coeffs)
             assert all(i % 2 == 1 for i, _ in gs.coeffs)
 
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (-1, -1)])
+    def test_extract_rejects_negative_p_or_q(self, p, q):
+        f, g = family_series(5, P312, (4, 4))
+        with pytest.raises(ValueError, match="p and q must be non-negative"):
+            extract_s(f, p, q)
+        with pytest.raises(ValueError, match="p and q must be non-negative"):
+            extract_t(g, p, q)
+
     def test_extract_rejects_out_of_bounds(self):
         f, g = family_series(2, P312, (3, 3))
         with pytest.raises(ValueError):
@@ -279,3 +292,79 @@ class TestGridKernelsAgainstOracle:
             next(it)
         assert [(f.coeffs, g.coeffs) for f, g in pairs] == snapshots
         assert len({tuple(sorted(f.coeffs.items())) for f, _ in pairs}) == 4
+
+    @pytest.mark.parametrize("params", SIX_PARAMS)
+    def test_iterators_fold_the_step_matrices_across_prime_power_levels(self, params):
+        # m runs to 32, so the scaled grids are rescaled at 8, 9, 16, 25, 27 and 32.
+        for bx, by in itertools.product(range(4), repeat=2):
+            plain = star = (BivarPoly.one(bx, by), BivarPoly.zero(bx, by))
+            it, its = iter_family_series(params, (bx, by)), iter_family_series_star(params, (bx, by))
+            for m in range(33):
+                if m:
+                    plain = step_matrix(m, params, bx, by).apply(*plain)
+                    star = step_matrix_star(m, params, bx, by).apply(*star)
+                assert next(it) == plain, (bx, by, m)
+                assert next(its) == star, (bx, by, m)
+
+
+def literal_mismatches(kind: str, m: int, params: AbcParams, bounds) -> int:
+    """The mismatch count of a series check, read off the public literal BivarPoly sides."""
+    bx, by = bounds
+    f, _ = family_series(m, params, bounds)
+    fstar, _ = family_series_star(m, params, bounds)
+    h = zeta_run_poly(m, params.c, bx + by)
+    hstar = zeta_star_run_poly(m, params.c, bx + by)
+    if kind == "star-factorization":
+        lhs, rhs = star_factorization_sides(f, fstar, hstar)
+        extra = 0
+    else:
+        lhs, rhs = symmetric_form_sides(f, fstar, h)
+        extra = int(hstar * h.flip() != UnivarPoly.one(bx + by))
+    return extra + sum(lhs.coeff(*k) != rhs.coeff(*k) for k in set(lhs.coeffs) | set(rhs.coeffs))
+
+
+CHECKS = [check_star_factorization, check_symmetric_form]
+
+
+class TestChecksAgainstLiteralSides:
+    """The integer-grid checks against the literal BivarPoly sides they replace."""
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("params", SIX_PARAMS)
+    def test_mismatch_counts_match_the_literal_sides(self, params, check):
+        for bx, by in itertools.product(range(7), repeat=2):
+            for m in sorted({(3 * bx + 5 * by) % 21, 20 - bx - by}):
+                rep = check(m, params, (bx, by))
+                assert rep.mismatches == literal_mismatches(rep.kind, m, params, (bx, by)), (bx, by, m)
+                assert rep.equal == (rep.mismatches == 0)
+
+    @staticmethod
+    def perturb(monkeypatch, target, cell, m):
+        """Make ``series._grids`` add 1 to one cell of the grid with key ``target`` at cutoff m."""
+        original = series._grids
+
+        def grids(exponents, bounds, star):
+            for t, (grid, lcm) in enumerate(original(exponents, bounds, star)):
+                if t == m and (exponents, bounds, star) == target:
+                    grid = [row[:] for row in grid]
+                    grid[cell[0]][cell[1]] += 1
+                yield grid, lcm
+
+        monkeypatch.setattr(series, "_grids", grids)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 3), (2, 1), (4, 4)])
+    def test_a_cell_off_by_one_in_the_star_grid_is_flagged(self, monkeypatch, check, cell):
+        self.perturb(monkeypatch, (P312.as_tuple(), (4, 4), True), cell, 9)
+        rep = check(9, P312, (4, 4))
+        assert rep.equal is False
+        assert rep.mismatches == literal_mismatches(rep.kind, 9, P312, (4, 4)) > 0
+        assert check(8, P312, (4, 4)).equal and check(10, P312, (4, 4)).equal
+
+    @pytest.mark.parametrize("star", [False, True])
+    @pytest.mark.parametrize("r", [0, 1, 5, 8])
+    def test_a_run_series_coefficient_off_by_one_is_flagged(self, monkeypatch, star, r):
+        self.perturb(monkeypatch, ((2, 2, 2), (0, 8), star), (0, r), 9)
+        rep = check_symmetric_form(9, P312, (4, 4))
+        assert rep.equal is False
+        assert rep.mismatches == literal_mismatches(rep.kind, 9, P312, (4, 4)) > 0
