@@ -13,14 +13,17 @@ Exit codes: 0 all checks passed, 1 at least one exact mismatch (a bug, or a
 falsified identity), 2 malformed parameters or usage.  Diagnostics go to
 stderr; reports go to stdout.
 
-Every sweep runs its cases serially in the calling process, in report
-order.  An s/t-identity sweep shares one ``ZetaCache`` across its cases
-(loaded from ``--cache`` when given, saved back afterwards): they reuse each
-other's tables.  The other kinds keep no zeta tables and reject ``--cache``
-(exit 2).  So do an empty ``--cache`` path, one whose directory does not
-exist, a cache file that cannot be read, was written by an older version or
-fails its consistency check, and a cache that cannot be written once the
-sweep is done; each is reported before anything reaches stdout.
+Every sweep runs its cases serially in the calling process.  An
+s/t-identity sweep shares one ``ZetaCache`` across its cases (loaded from
+``--cache`` when given, saved back afterwards): they reuse each other's
+tables.  It and the homomorphism sweep compute each (p, q) or sample from
+the top cutoff down, so each table is filled once and the lower cutoffs
+read it; the report lists the cases in ascending order all the same.  The
+other kinds keep no zeta tables and reject ``--cache`` (exit 2).  So do an
+empty ``--cache`` path, one whose directory does not exist, a cache file
+that cannot be read, was written by an older version or fails its
+consistency check, and a cache that cannot be written once the sweep is
+done; each is reported before anything reaches stdout.
 """
 
 from __future__ import annotations
@@ -133,10 +136,13 @@ def _run_verify(ns) -> tuple[dict, int]:
         cache = _load_cache(ns.cache)
         fn = zeta.verify_identity_s if kind == "s-identity" else zeta.verify_identity_t
         cases = []
-        for p, q, m in itertools.product(ps, qs, ms):
-            rep = fn(p, q, m, params, cache)
-            cases.append({"p": p, "q": q, "m": m, "lhs": _frac_str(rep.lhs),
-                          "rhs": _frac_str(rep.rhs), "equal": rep.equal})
+        for p, q in itertools.product(ps, qs):
+            run = []
+            for m in reversed(ms):  # top cutoff first: each table is filled once, lower cutoffs read it
+                rep = fn(p, q, m, params, cache)
+                run.append({"p": p, "q": q, "m": m, "lhs": _frac_str(rep.lhs),
+                            "rhs": _frac_str(rep.rhs), "equal": rep.equal})
+            cases.extend(reversed(run))
         _save_cache(ns.cache, cache)
     elif kind in ("gen", "symmetric"):
         bx, by = _parse_pair(ns.bounds, "--bounds")
@@ -160,11 +166,13 @@ def _run_verify(ns) -> tuple[dict, int]:
             u = harmonic.HPoly.word(tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4))))
             v = harmonic.HPoly.word(tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4))))
             product = harmonic.harmonic_mul(u, v)
-            for m in ms:
+            run = []
+            for m in reversed(ms):  # top cutoff first
                 lhs = harmonic.z_eval(product, m, cache)
                 rhs = harmonic.z_eval(u, m, cache) * harmonic.z_eval(v, m, cache)
-                cases.append({"m": m, "u": repr(u), "v": repr(v),
-                              "lhs": _frac_str(lhs), "rhs": _frac_str(rhs), "equal": lhs == rhs})
+                run.append({"m": m, "u": repr(u), "v": repr(v),
+                            "lhs": _frac_str(lhs), "rhs": _frac_str(rhs), "equal": lhs == rhs})
+            cases.extend(reversed(run))
 
     if os.environ.get("MZV_CORRUPT_IDENTITY") and cases:
         # Test hook: falsify one case so the mismatch exit path can be
@@ -251,6 +259,7 @@ def _run_eval(ns, out) -> int:
     else:  # closed
         if ns.closed_kind is None or ns.p is None or ns.q is None:
             raise UsageError("eval closed requires --kind, --p and --q")
+        closedform.check_closed_letters(_parse_abc(ns.abc))
         fn = closedform.s_closed if ns.closed_kind == "s" else closedform.s_star_closed
         coeff = fn(ns.p, ns.q)
         out.write(f"{coeff}\n~ {float(coeff)!r}\n")

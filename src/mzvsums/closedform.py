@@ -37,6 +37,7 @@ __all__ = [
     "bernoulli",
     "bernoulli_via_tangent",
     "beta",
+    "check_closed_letters",
     "converge_report",
     "s_closed",
     "s_star_closed",
@@ -146,6 +147,12 @@ def s_star_closed(p: int, q: int) -> PiCoefficient:
     return PiCoefficient(total, 4 * p + 2 * q)
 
 
+def check_closed_letters(params: AbcParams) -> None:
+    """Raise ``ValueError`` unless params are (3, 1, 2), the only letters with closed forms here."""
+    if params.as_tuple() != (3, 1, 2):
+        raise ValueError(f"closed forms require letters (3, 1, 2), got {params.as_tuple()}")
+
+
 def _check_pq(p: int, q: int) -> None:
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be non-negative, got p={p}, q={q}")
@@ -173,8 +180,7 @@ def converge_report(
     along the schedule because every truncated value grows toward its limit
     from below.
     """
-    if params.as_tuple() != (3, 1, 2):
-        raise ValueError(f"closed forms require letters (3, 1, 2), got {params.as_tuple()}")
+    check_closed_letters(params)
     schedule = list(m_schedule)
     if not schedule:
         raise ValueError("schedule must be non-empty")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .indices import AbcParams, Index, index_family_I, index_family_J, validate_index
+from .indices import AbcParams, Index, IndexMultiset, index_family_I, index_family_J, validate_index
 
 __all__ = [
     "IdentityReport",
@@ -83,7 +83,16 @@ class ZetaCache:
     with L_t = lcm(1..t) taken from one list shared by every table.  Each
     entry carries its own L_t, so a table extends in place when a larger
     cutoff is requested, with no rescale pass, and evaluating at m = 100
-    after m = 800 costs a lookup.
+    after m = 800 costs a lookup.  Beside the lcm list the cache keeps the
+    ratios L_t // L_(t-1) and, per first letter k0, the factors
+    (L_t // t)**k0, so ``_extend`` computes neither per table.
+
+    Family sums go through a memo: each (family, i, j, params) is enumerated
+    once per cache, and each (family, i, j, params, star) keeps its members
+    as (multiplicity, table) pairs with the cutoff they are filled to.  A
+    family sum at a cutoff up to that one reads ``table[m]``; a larger
+    cutoff first fills every member table to it.  A sweep that starts at its
+    top cutoff thus extends each table once.
 
     ``save`` writes ``(_CACHE_FORMAT, strict tables, star tables)``
     atomically; ``load`` checks the tag, the types, that each table has the
@@ -100,6 +109,11 @@ class ZetaCache:
         self._strict: dict[Index, list[int]] = {}
         self._star: dict[Index, list[int]] = {}
         self._lcms: list[int] = [1]  # L_t = lcm(1..t)
+        self._ratios: list[int] = [1]  # L_t // L_(t-1)
+        self._steps: dict[int, list[int]] = {}  # first letter k0 -> (L_t // t)**k0 by t
+        self._members: dict[tuple, IndexMultiset] = {}  # (family, i, j, params) -> the family
+        # (family, i, j, params, star) -> (filled cutoff, [(multiplicity, member table)])
+        self._families: dict[tuple, tuple[int, list]] = {}
 
     def zeta(self, k: Index, m: int) -> Fraction:
         return Fraction(self.scaled(k, m, False), self.lcm(m) ** sum(k))
@@ -128,28 +142,56 @@ class ZetaCache:
             sub = tab
         return tab[m]
 
+    def members(self, family, i: int, j: int, params: AbcParams) -> IndexMultiset:
+        """``family(i, j, params)`` (``index_family_I`` or ``_J``), enumerated once per cache."""
+        key = (family, i, j, params)
+        found = self._members.get(key)
+        if found is None:
+            found = self._members[key] = family(i, j, params)
+        return found
+
+    def family_scaled(self, family, i: int, j: int, params: AbcParams, m: int, star: bool) -> int:
+        """The (i, j) family sum at cutoff m times lcm(1..m)**weight; every member has that weight.
+
+        The member tables are filled to m and kept as (multiplicity, table)
+        pairs, so a later call at a cutoff up to m only reads ``table[m]``.
+        """
+        key = (family, i, j, params, star)
+        memo = self._families.get(key)
+        if memo is None or memo[0] < m:
+            members = self.members(family, i, j, params)
+            for k in members:
+                self.scaled(k, m, star)
+            tables = self._star if star else self._strict
+            memo = self._families[key] = (m, [(mult, tables[k]) for k, mult in members.items()])
+        return sum(mult * tab[m] for mult, tab in memo[1])
+
     def lcm(self, m: int) -> int:
-        """lcm(1..m), extending the shared list as needed."""
+        """lcm(1..m), extending the shared lists as needed."""
         lcms = self._lcms
         for t in range(len(lcms), m + 1):
-            lcms.append(math.lcm(lcms[-1], t))
+            lt = math.lcm(lcms[-1], t)
+            self._ratios.append(lt // lcms[-1])
+            lcms.append(lt)
         return lcms[m]
 
     def _extend(self, tab: list[int], sub: list[int], suf: Index, m: int, star: bool) -> None:
         """Append the entries of ``suf``'s table up to cutoff m; ``sub`` is the table of suf[1:]."""
-        lcms = self._lcms
+        ratios = self._ratios
         k0 = suf[0]
+        steps = self._steps.setdefault(k0, [0])
+        for t in range(len(steps), m + 1):
+            steps.append((self._lcms[t] // t) ** k0)
         w = sum(suf)
         n = tab[-1]
         for t in range(len(tab), m + 1):
-            lt = lcms[t]
-            r = lt // lcms[t - 1]
+            r = ratios[t]
             s = sub[t] if star else sub[t - 1]
             if r != 1:  # t is a prime power: bring the cutoff t-1 numerators to L_t
                 n *= r**w
                 if not star:
                     s *= r ** (w - k0)
-            n += (lt // t) ** k0 * s
+            n += steps[t] * s
             tab.append(n)
 
     def save(self, path) -> None:
@@ -251,34 +293,34 @@ def zeta_star_trunc_naive(k, m: int) -> Fraction:
     return total
 
 
-def _scaled_family_sum(family, m, star, cache) -> int:
-    """The family sum times lcm(1..m)**weight: every member of a family has the same weight."""
-    return sum(mult * cache.scaled(k, m, star) for k, mult in family.items())
+def _weight(family, p, q, params, cache) -> int:
+    """The weight every member of the (p, q) family shares."""
+    return sum(next(iter(cache.members(family, p, q, params))))
 
 
-def _family_sum(family, m, star, cache) -> Fraction:
+def _family_sum(family, p, q, m, params, star, cache) -> Fraction:
     if cache is None:
         cache = ZetaCache()
-    weight = sum(next(iter(family)))
-    return Fraction(_scaled_family_sum(family, m, star, cache), cache.lcm(m) ** weight)
+    scaled = cache.family_scaled(family, p, q, params, m, star)
+    return Fraction(scaled, cache.lcm(m) ** _weight(family, p, q, params, cache))
 
 
 def s_direct(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> Fraction:
     """Sum of zeta_trunc over index_family_I(p, q), weighted by multiplicity."""
-    return _family_sum(index_family_I(p, q, params), m, False, cache)
+    return _family_sum(index_family_I, p, q, m, params, False, cache)
 
 
 def s_star_direct(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> Fraction:
-    return _family_sum(index_family_I(p, q, params), m, True, cache)
+    return _family_sum(index_family_I, p, q, m, params, True, cache)
 
 
 def t_direct(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> Fraction:
     """Sum of zeta_trunc over index_family_J(p, q), weighted by multiplicity."""
-    return _family_sum(index_family_J(p, q, params), m, False, cache)
+    return _family_sum(index_family_J, p, q, m, params, False, cache)
 
 
 def t_star_direct(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> Fraction:
-    return _family_sum(index_family_J(p, q, params), m, True, cache)
+    return _family_sum(index_family_J, p, q, m, params, True, cache)
 
 
 @dataclass(frozen=True)
@@ -324,17 +366,16 @@ def _verify_identity(p, q, m, params, family, cache) -> IdentityReport:
     """
     if cache is None:
         cache = ZetaCache()
-    top = family(p, q, params)
-    lhs = _scaled_family_sum(top, m, True, cache)
+    lhs = cache.family_scaled(family, p, q, params, m, True)
     runs = [cache.scaled((params.c,) * r, m, True) for r in range(2 * p + q + 1)]
     base: dict[tuple[int, int], int] = {}
     rhs = 0
     for coeff, i, j, r1, r2 in identity_terms(p, q):
         s = base.get((i, j))
         if s is None:
-            s = base[i, j] = _scaled_family_sum(family(i, j, params), m, False, cache)
+            s = base[i, j] = cache.family_scaled(family, i, j, params, m, False)
         rhs += coeff * s * runs[r1] * runs[r2]
-    den = cache.lcm(m) ** sum(next(iter(top)))
+    den = cache.lcm(m) ** _weight(family, p, q, params, cache)
     lhs_value = Fraction(lhs, den)
     rhs_value = lhs_value if rhs == lhs else Fraction(rhs, den)
     return IdentityReport(params, p, q, m, lhs_value, rhs_value, lhs == rhs)

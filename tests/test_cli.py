@@ -5,10 +5,12 @@ import io
 import json
 import math
 import multiprocessing.process
+import random
 
 import pytest
 
-from mzvsums import cli
+from mzvsums import cli, harmonic, zeta
+from mzvsums.indices import AbcParams
 
 
 def run(argv, capsys):
@@ -257,6 +259,74 @@ class TestVerifyCommand:
             assert not path.exists()
 
 
+ACCEPTANCE_ABC = ("3,1,2", "4,2,3", "5,1,3", "5,3,4", "2,2,2")
+
+
+class TestSweepOrder:
+    """A sweep computes each (p, q) from its top cutoff down; the report and its values are unchanged."""
+
+    @pytest.mark.parametrize("abc", ACCEPTANCE_ABC)
+    @pytest.mark.parametrize("kind", ["s-identity", "t-identity"])
+    def test_identity_sweep_matches_fresh_cache_cases(self, capsys, kind, abc):
+        # The cutoffs pass the rescales at 16 (2**4) and 17.
+        code, out, _ = run(["verify", kind, "--abc", abc, "--p", "0..2", "--q", "0..3", "--m", "0..17"], capsys)
+        assert code == 0
+        cases = parse_json(out)["cases"]
+        assert [(c["p"], c["q"], c["m"]) for c in cases] == [
+            (p, q, m) for p in range(3) for q in range(4) for m in range(18)]
+        params = AbcParams(*map(int, abc.split(",")))
+        fn = zeta.verify_identity_s if kind == "s-identity" else zeta.verify_identity_t
+        for case in cases:
+            rep = fn(case["p"], case["q"], case["m"], params, zeta.ZetaCache())
+            assert (case["lhs"], case["rhs"], case["equal"]) == (
+                cli._frac_str(rep.lhs), cli._frac_str(rep.rhs), rep.equal), case
+
+    def test_homomorphism_sweep_matches_fresh_cache_values(self, capsys):
+        code, out, _ = run(["verify", "homomorphism", "--m", "0..17", "--count", "4", "--seed", "5"], capsys)
+        assert code == 0
+        cases = parse_json(out)["cases"]
+        assert [c["m"] for c in cases] == list(range(18)) * 4
+        rng = random.Random(5)  # the sweep's own draws, in its order
+
+        def draw():
+            return harmonic.HPoly.word(tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4))))
+
+        for sample in range(4):
+            u, v = draw(), draw()
+            for m, case in enumerate(cases[18 * sample: 18 * (sample + 1)]):
+                lhs = harmonic.z_eval(harmonic.harmonic_mul(u, v), m, zeta.ZetaCache())
+                rhs = harmonic.z_eval(u, m, zeta.ZetaCache()) * harmonic.z_eval(v, m, zeta.ZetaCache())
+                assert (case["u"], case["v"]) == (repr(u), repr(v))
+                assert (case["lhs"], case["rhs"], case["equal"]) == (cli._frac_str(lhs), cli._frac_str(rhs), True)
+
+    @pytest.mark.parametrize("kind, family", [("s-identity", "index_family_I"), ("t-identity", "index_family_J")])
+    def test_each_table_and_family_is_built_once_per_sweep(self, capsys, monkeypatch, kind, family):
+        extended = []
+        caches = set()
+        original_extend = zeta.ZetaCache._extend
+
+        def counting_extend(self, tab, sub, suf, m, star):
+            extended.append((suf, star))
+            caches.add(self)
+            return original_extend(self, tab, sub, suf, m, star)
+
+        enumerated = []
+        original_family = getattr(zeta, family)
+
+        def counting_family(i, j, params):
+            enumerated.append((i, j))
+            return original_family(i, j, params)
+
+        monkeypatch.setattr(zeta.ZetaCache, "_extend", counting_extend)
+        monkeypatch.setattr(zeta, family, counting_family)
+        code, _, _ = run(["verify", kind, "--abc", "4,2,3", "--p", "0..2", "--q", "0..2", "--m", "3..17"], capsys)
+        assert code == 0
+        [cache] = caches
+        tables = {(k, False) for k in cache._strict if k} | {(k, True) for k in cache._star if k}
+        assert sorted(extended) == sorted(tables)
+        assert sorted(enumerated) == [(i, j) for i in range(3) for j in range(3)]
+
+
 class TestEvalCommand:
     def test_zeta_value(self, capsys):
         code, out, _ = run(["eval", "zeta", "--index", "2,1", "--m", "2"], capsys)
@@ -294,6 +364,13 @@ class TestEvalCommand:
     def test_closed_star_form(self, capsys):
         _, out, _ = run(["eval", "closed", "--kind", "s-star", "--p", "1", "--q", "0"], capsys)
         assert out.splitlines()[0] == "1/72 * pi^4"
+
+    def test_closed_forms_refuse_other_letters(self, capsys):
+        for kind in ("s", "s-star"):
+            code, out, err = run(["eval", "closed", "--kind", kind, "--p", "1", "--q", "1", "--abc", "5,3,4"], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == "error: closed forms require letters (3, 1, 2), got (5, 3, 4)\n"
 
     def test_missing_arguments_exit_two(self, capsys):
         code, _, err = run(["eval", "zeta", "--m", "3"], capsys)

@@ -230,6 +230,18 @@ class TestIntegerTables:
                 assert {sum(k) for k in index_family_J(p, q, params)} == {b + c * (2 * p + q)}
 
 
+class TestFamilyMemo:
+    """A cache keeps each family's member tables; a later, larger cutoff refills them."""
+
+    @pytest.mark.parametrize("params", [P312, AbcParams(5, 3, 4), AbcParams(2, 2, 2)])
+    def test_shared_cache_at_ascending_cutoffs_matches_fresh(self, params):
+        cache = ZetaCache()
+        for m in range(31):
+            for p, q in ((0, 0), (1, 2), (2, 1)):
+                for fn in (s_direct, s_star_direct, t_direct, t_star_direct, verify_identity_s, verify_identity_t):
+                    assert fn(p, q, m, params, cache) == fn(p, q, m, params, ZetaCache()), (fn.__name__, p, q, m)
+
+
 class TestAtomicSave:
     def test_failed_dump_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):
         import pickle
