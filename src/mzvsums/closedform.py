@@ -4,13 +4,13 @@ For the letter triple (3, 1, 2) the infinite-series limits of the family
 sums are rational multiples of powers of pi:
 
     s(p, q)      = binom(2p+q, q) / ((2p+1) (4p+2q+1)!) * pi^(4p+2q)
-    s_star(p, q) = [signed binomial double sum over 2i+k+u = 2p, j+l+v = q
-                    of beta_(k+l) beta_(u+v) binom(2i+j, j)
-                    / ((2i+1) (4i+2j+1)!)] * pi^(4p+2q)
+    s_star(p, q) = sum over the groups (i, j, pairs) of identity_terms(p, q) of
+                   s(i, j) * sum over pairs of weight beta_r1 beta_r2 pi^(2r1+2r2)
 
-where beta_r = (2^(2r) - 2) (-1)^(r-1) B_(2r) / (2r)! is the rational part
-of the even-argument run value zeta_star((2,)*r) / pi^(2r), and B_n are the
-Bernoulli numbers.  Everything rational here is exact; only
+the identity of :mod:`mzvsums.zeta` in the limit, again a multiple of
+pi^(4p+2q).  Here beta_r = (2^(2r) - 2) (-1)^(r-1) B_(2r) / (2r)! is the
+rational part of the even-argument run value zeta_star((2,)*r) / pi^(2r),
+and B_n are the Bernoulli numbers.  Everything rational here is exact; only
 :func:`converge_report` touches floating point, comparing truncated sums
 against the limits.
 
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .indices import AbcParams
+from .indices import AbcParams, _check_pq
 from .zeta import ZetaCache, identity_terms, s_star_direct
 
 __all__ = [
@@ -137,13 +137,8 @@ def s_star_closed(p: int, q: int) -> PiCoefficient:
     """Limit of the star s-family sum for letters (3, 1, 2)."""
     _check_pq(p, q)
     total = Fraction(0)
-    for weight, i, j, r1, r2 in identity_terms(p, q):
-        total += (
-            Fraction(weight * comb(2 * i + j, j))
-            * beta(r1)
-            * beta(r2)
-            / ((2 * i + 1) * factorial(4 * i + 2 * j + 1))
-        )
+    for i, j, pairs in identity_terms(p, q):
+        total += s_closed(i, j).rational * sum(w * beta(r1) * beta(r2) for w, r1, r2 in pairs)
     return PiCoefficient(total, 4 * p + 2 * q)
 
 
@@ -151,11 +146,6 @@ def check_closed_letters(params: AbcParams) -> None:
     """Raise ``ValueError`` unless params are (3, 1, 2), the only letters with closed forms here."""
     if params.as_tuple() != (3, 1, 2):
         raise ValueError(f"closed forms require letters (3, 1, 2), got {params.as_tuple()}")
-
-
-def _check_pq(p: int, q: int) -> None:
-    if p < 0 or q < 0:
-        raise ValueError(f"p and q must be non-negative, got p={p}, q={q}")
 
 
 @dataclass(frozen=True)

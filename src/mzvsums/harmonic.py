@@ -259,19 +259,19 @@ class WordIdentityReport:
 def _verify_word_identity(p: int, q: int, params: AbcParams, family) -> WordIdentityReport:
     """Both sides of the (p, q) identity over ``family`` (I or J), in integers.
 
-    The product is bilinear, so each run product S(c^r1) * S(c^r2) is built
-    once per {r1, r2} and summed, weighted, into one combination per (i, j),
-    which multiplies that family once.  The word memos serve the whole check.
+    The product is bilinear, so per group of ``identity_terms`` the weighted
+    run products S(c^r1) * S(c^r2), each built once per check, are summed
+    into one combination that multiplies the (i, j) family once.
     """
-    star_memo, mul_memo, products, combos, rhs = {}, {}, {}, {}, {}
+    star_memo, mul_memo, products, rhs = {}, {}, {}, {}
     lhs = _star_terms(family(p, q, params), star_memo)
     runs = [_star_words((params.c,) * r, star_memo) for r in range(2 * p + q + 1)]
-    for weight, i, j, r1, r2 in identity_terms(p, q):
-        pair = (min(r1, r2), max(r1, r2))
-        if pair not in products:
-            products[pair] = _mul_terms(runs[r1], runs[r2], mul_memo)
-        _add_into(combos.setdefault((i, j), {}), products[pair], weight)
-    for (i, j), combo in combos.items():
+    for i, j, pairs in identity_terms(p, q):
+        combo = {}
+        for weight, r1, r2 in pairs:
+            if (r1, r2) not in products:
+                products[r1, r2] = _mul_terms(runs[r1], runs[r2], mul_memo)
+            _add_into(combo, products[r1, r2], weight)
         _add_into(rhs, _mul_terms(family(i, j, params), {w: v for w, v in combo.items() if v}, mul_memo), 1)
     rhs = {w: v for w, v in rhs.items() if v}
     return WordIdentityReport(params, p, q, len(lhs), len(rhs), lhs == rhs)

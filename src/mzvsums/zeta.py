@@ -37,6 +37,7 @@ over the common denominator L_m**weight.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -156,6 +157,8 @@ class ZetaCache:
         The member tables are filled to m and kept as (multiplicity, table)
         pairs, so a later call at a cutoff up to m only reads ``table[m]``.
         """
+        if m < 0:  # every family sum and identity check starts here
+            raise ValueError(f"cutoff m must be non-negative, got {m}")
         key = (family, i, j, params, star)
         memo = self._families.get(key)
         if memo is None or memo[0] < m:
@@ -347,34 +350,40 @@ def decompositions(p: int, q: int):
                     yield i, k, u, j, l, v
 
 
-def identity_terms(p: int, q: int):
-    """(weight, i, j, r1, r2) per decomposition, in ``decompositions`` order.
+@functools.cache
+def identity_terms(p: int, q: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
+    """The right side of the (p, q) identity, grouped: ``((i, j, ((weight, r1, r2), ...)), ...)``.
 
-    The (p, q) star family sum is the sum of weight * (i, j) family sum *
-    star c-runs of lengths r1 = k + l and r2 = u + v.
+    The (p, q) star family sum is the sum over the groups of the (i, j) family
+    sum times sum(weight * R(r1) * R(r2)), R(r) the star c-run of length r.
+    Each decomposition (i, k, u, j, l, v) adds (-1)**(j + k) * comb(k + l, k) *
+    comb(u + v, u) to the pair {k + l, u + v} of its (i, j); a group lists its
+    pairs with r1 <= r2 and non-zero weight.  Built once per (p, q).
     """
+    groups: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for i, k, u, j, l, v in decompositions(p, q):
-        yield (-1) ** (j + k) * comb(k + l, k) * comb(u + v, u), i, j, k + l, u + v
+        pairs = groups.setdefault((i, j), {})
+        pair = (min(k + l, u + v), max(k + l, u + v))
+        pairs[pair] = pairs.get(pair, 0) + (-1) ** (j + k) * comb(k + l, k) * comb(u + v, u)
+    return tuple((i, j, tuple((w, r1, r2) for (r1, r2), w in pairs.items() if w)) for (i, j), pairs in groups.items())
 
 
 def _verify_identity(p, q, m, params, family, cache) -> IdentityReport:
     """Both sides of the (p, q) identity over ``family`` (I or J), compared as integers.
 
     Every term has the weight of the left side, so each side is a sum of
-    scaled numerators over lcm(1..m)**weight.  Each (i, j) family sum is
-    computed once per call, however many decompositions use it.
+    scaled numerators over lcm(1..m)**weight.  The right side reads the
+    groups of ``identity_terms``: one family sum per (i, j), times its
+    weighted sum of star-run products.
     """
     if cache is None:
         cache = ZetaCache()
     lhs = cache.family_scaled(family, p, q, params, m, True)
     runs = [cache.scaled((params.c,) * r, m, True) for r in range(2 * p + q + 1)]
-    base: dict[tuple[int, int], int] = {}
-    rhs = 0
-    for coeff, i, j, r1, r2 in identity_terms(p, q):
-        s = base.get((i, j))
-        if s is None:
-            s = base[i, j] = cache.family_scaled(family, i, j, params, m, False)
-        rhs += coeff * s * runs[r1] * runs[r2]
+    rhs = sum(
+        cache.family_scaled(family, i, j, params, m, False) * sum(w * runs[r1] * runs[r2] for w, r1, r2 in pairs)
+        for i, j, pairs in identity_terms(p, q)
+    )
     den = cache.lcm(m) ** _weight(family, p, q, params, cache)
     lhs_value = Fraction(lhs, den)
     rhs_value = lhs_value if rhs == lhs else Fraction(rhs, den)

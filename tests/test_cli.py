@@ -372,6 +372,15 @@ class TestEvalCommand:
             assert out == ""
             assert err == "error: closed forms require letters (3, 1, 2), got (5, 3, 4)\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["s", "--p", "1", "--q", "1", "--m", "-1"], ["s-star", "--p", "0", "--q", "0", "--m", "-3"]]
+    )
+    def test_negative_family_cutoff_exits_two_with_one_line(self, capsys, argv):
+        code, out, err = run(["eval", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cutoff m must be non-negative, got {argv[-1]}\n"
+
     def test_missing_arguments_exit_two(self, capsys):
         code, _, err = run(["eval", "zeta", "--m", "3"], capsys)
         assert code == 2

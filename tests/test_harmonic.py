@@ -1,12 +1,13 @@
 """Quasi-shuffle algebra: product, star expansion, evaluation homomorphisms."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvsums import harmonic
+from mzvsums import harmonic, zeta
 from mzvsums.harmonic import (
     HPoly,
     concat,
@@ -20,7 +21,17 @@ from mzvsums.harmonic import (
     z_star_eval,
 )
 from mzvsums.indices import AbcParams, index_family_I, index_family_J
-from mzvsums.zeta import ZetaCache, identity_terms, s_star_direct, t_star_direct, zeta_star_trunc, zeta_trunc
+from mzvsums.zeta import (
+    ZetaCache,
+    decompositions,
+    identity_terms,
+    s_star_direct,
+    t_star_direct,
+    verify_identity_s,
+    verify_identity_t,
+    zeta_star_trunc,
+    zeta_trunc,
+)
 
 P312 = AbcParams(3, 1, 2)
 P423 = AbcParams(4, 2, 3)
@@ -247,7 +258,7 @@ def _abc_id(params):
 
 
 def _per_row_symbolic(p, q, params, family):
-    """Test-only oracle: one harmonic_mul per identity_terms row, on Fraction coefficients.
+    """Test-only oracle: one harmonic_mul per ``decompositions`` row, on Fraction coefficients.
 
     Returns (lhs_terms, rhs_terms, equal) as a WordIdentityReport states them.
     """
@@ -258,9 +269,18 @@ def _per_row_symbolic(p, q, params, family):
     lhs = star_expand(word_sum(p, q))
     star_runs = {r: star_expand(HPoly({(params.c,) * r: Fraction(1)})) for r in range(2 * p + q + 1)}
     rhs = HPoly.zero()
-    for weight, i, j, r1, r2 in identity_terms(p, q):
-        rhs = rhs + weight * harmonic_mul(word_sum(i, j), harmonic_mul(star_runs[r1], star_runs[r2]))
+    for i, k, u, j, l, v in decompositions(p, q):
+        weight = (-1) ** (j + k) * math.comb(k + l, k) * math.comb(u + v, u)
+        rhs = rhs + weight * harmonic_mul(word_sum(i, j), harmonic_mul(star_runs[k + l], star_runs[u + v]))
     return len(lhs), len(rhs), lhs == rhs
+
+
+def _one_weight_off_by_one(groups):
+    """Copies of the grouped ``identity_terms``, each with one weight raised by one."""
+    for g, (i, j, pairs) in enumerate(groups):
+        for n in range(len(pairs)):
+            bumped = tuple((w + (k == n), r1, r2) for k, (w, r1, r2) in enumerate(pairs))
+            yield groups[:g] + ((i, j, bumped),) + groups[g + 1:]
 
 
 class TestGroupedSymbolicCheck:
@@ -278,13 +298,19 @@ class TestGroupedSymbolicCheck:
                 assert (rep.lhs_terms, rep.rhs_terms, rep.equal) == _per_row_symbolic(p, q, params, family), (p, q)
 
     @pytest.mark.parametrize("p, q", [(2, 1), (1, 2)])
-    def test_a_weight_off_by_one_in_any_row_is_caught(self, monkeypatch, p, q):
-        rows = list(identity_terms(p, q))
-        for bad in range(len(rows)):
-            mutated = [(weight + (k == bad), *rest) for k, (weight, *rest) in enumerate(rows)]
-            monkeypatch.setattr(harmonic, "identity_terms", lambda p_, q_, mutated=mutated: iter(mutated))
+    def test_a_weight_off_by_one_in_any_group_is_caught(self, monkeypatch, p, q):
+        # The word route, and the zeta route at a cutoff where every family sum is non-zero.
+        m = 2 * p + q + 1
+        cache = ZetaCache()
+        mutations = list(_one_weight_off_by_one(identity_terms(p, q)))
+        assert len(mutations) == sum(len(pairs) for _, _, pairs in identity_terms(p, q)) > 0
+        for bad in mutations:
+            for module in (harmonic, zeta):
+                monkeypatch.setattr(module, "identity_terms", lambda p_, q_, bad=bad: bad)
             assert verify_identity_s_symbolic(p, q, P312).equal is False, bad
             assert verify_identity_t_symbolic(p, q, P312).equal is False, bad
+            assert verify_identity_s(p, q, m, P312, cache).equal is False, bad
+            assert verify_identity_t(p, q, m, P312, cache).equal is False, bad
 
     @pytest.mark.parametrize("params", ACCEPTANCE_TRIPLES, ids=_abc_id)
     def test_weight_nine_cells_hold_exactly(self, params):

@@ -1,6 +1,8 @@
 """Truncated zeta evaluation: DP vs naive enumeration, recurrences, identities."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, strategies as st
 from mzvsums.indices import AbcParams
 from mzvsums.zeta import (
     ZetaCache,
+    decompositions,
+    identity_terms,
     s_direct,
     s_star_direct,
     t_direct,
@@ -153,6 +157,43 @@ class TestIdentities:
         assert rep.params == P312
         assert (rep.p, rep.q, rep.m) == (1, 0, 2)
         assert rep.equal == (rep.lhs == rep.rhs)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    def test_family_sums_and_checks_refuse_negative_cutoffs(self, warm):
+        cache = ZetaCache()
+        fns = (s_direct, s_star_direct, t_direct, t_star_direct, verify_identity_s, verify_identity_t)
+        if warm:  # tables and family memos already filled past the cutoffs asked for below
+            for fn in fns:
+                fn(1, 1, 4, P312, cache)
+        for fn in fns:
+            for m in (-1, -3):
+                with pytest.raises(ValueError, match=f"cutoff m must be non-negative, got {m}"):
+                    fn(1, 1, m, P312, cache)
+            assert fn(1, 1, 4, P312, cache) == fn(1, 1, 4, P312, ZetaCache())
+
+
+class TestIdentityTerms:
+    def test_groups_the_per_row_expansion_exhaustively(self):
+        for p in range(7):
+            for q in range(7):
+                rows = Counter()
+                for i, k, u, j, l, v in decompositions(p, q):
+                    r1, r2 = sorted((k + l, u + v))
+                    rows[i, j, r1, r2] += (-1) ** (j + k) * math.comb(k + l, k) * math.comb(u + v, u)
+                got = identity_terms(p, q)
+                terms = [(i, j, r1, r2, w) for i, j, pairs in got for w, r1, r2 in pairs]
+                assert {(i, j, r1, r2): w for i, j, r1, r2, w in terms} == {key: w for key, w in rows.items() if w}
+                assert len(terms) == len({term[:4] for term in terms}), (p, q)
+                assert all(w != 0 and r1 <= r2 for _, _, r1, r2, w in terms), (p, q)
+                groups = [(i, j) for i, _, _, j, _, _ in decompositions(p, q)]
+                assert [(i, j) for i, j, _ in got] == list(dict.fromkeys(groups)), (p, q)
+
+    def test_is_an_immutable_tuple_built_once_per_pq(self):
+        got = identity_terms(3, 2)
+        assert got is identity_terms(3, 2)
+        assert type(got) is tuple
+        assert all(type(group) is tuple and type(group[2]) is tuple for group in got)
+        assert all(type(term) is tuple for _, _, pairs in got for term in pairs)
 
 
 class TestCachePersistence:
