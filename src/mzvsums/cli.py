@@ -264,7 +264,7 @@ def _run_eval(ns, out) -> int:
         coeff = fn(ns.p, ns.q)
         out.write(f"{coeff}\n~ {float(coeff)!r}\n")
         return 0
-    out.write(f"{_frac_str(value)}\n~ {float(value)!r}\n")
+    out.write(f"{_frac_str(value)}\n~ {closedform._float_or_inf(value)!r}\n")
     return 0
 
 

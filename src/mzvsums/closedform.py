@@ -11,12 +11,15 @@ the identity of :mod:`mzvsums.zeta` in the limit, again a multiple of
 pi^(4p+2q).  Here beta_r = (2^(2r) - 2) (-1)^(r-1) B_(2r) / (2r)! is the
 rational part of the even-argument run value zeta_star((2,)*r) / pi^(2r),
 and B_n are the Bernoulli numbers.  Everything rational here is exact; only
-:func:`converge_report` touches floating point, comparing truncated sums
-against the limits.
+``float(PiCoefficient)`` and :func:`converge_report` touch floating point,
+the latter comparing truncated sums against the limits.
 
-Bernoulli numbers come from the defining binomial recurrence; an independent
-route through tangent numbers (Seidel's boustrophedon triangle) is kept as a
-cross-check oracle.
+Bernoulli numbers come by two independent integer routes, each checking the
+other: :func:`bernoulli` runs the defining binomial recurrence over the von
+Staudt-Clausen denominator, :func:`bernoulli_via_tangent` the Knuth-Buckholtz
+tangent-number recurrence (Brent-Harvey, arXiv:1108.0286).  The Seidel
+triangle and ``Fraction`` recurrence they replaced are oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 from .indices import AbcParams, _check_pq
 from .zeta import ZetaCache, identity_terms, s_star_direct
@@ -49,40 +52,59 @@ ABC_312 = AbcParams(3, 1, 2)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, with the B_1 = -1/2 convention.
 
-    Computed from the defining recurrence sum_{j <= n} binom(n+1, j) B_j = 0.
+    Computed from the defining recurrence sum_{j <= n} binom(n+1, j) B_j = 0
+    on the integers D * B_j, D the product of the primes <= n + 1, which by
+    von Staudt-Clausen clears every denominator up to B_n: one dot product
+    over the even j (the odd B_j past B_1 vanish) and one exact division by
+    n + 1 per step.  The scaled values are kept for the process and extended
+    (rescaled to the larger D) when a larger n is asked for.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return _bernoulli_cached(n)
+    if n >= len(_SCALED_BERNOULLI):
+        _extend_bernoulli(n)
+    return Fraction(_SCALED_BERNOULLI[n], _SCALED_BERNOULLI[0])
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_cached(n: int) -> Fraction:
-    if n == 0:
-        return Fraction(1)
-    acc = sum((comb(n + 1, j) * _bernoulli_cached(j) for j in range(n)), Fraction(0))
-    return -acc / (n + 1)
+_SCALED_BERNOULLI = [1]  # D * B_j for j < len, D the product of the primes <= len; entry 0 is D
 
 
-def _zigzag_numbers(n_max: int) -> list[int]:
-    """Alternating-permutation counts 1, 1, 1, 2, 5, 16, 61, 272, ... (boustrophedon)."""
-    out = [1]
-    row = [1]
-    for n in range(1, n_max + 1):
-        prev = row
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            row[k] = row[k - 1] + prev[n - k]
-        out.append(row[n])
-    return out
+def _extend_bernoulli(n: int) -> None:
+    a = _SCALED_BERNOULLI
+    new_primes = [p for p in range(len(a) + 1, n + 2) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    ratio = math.prod(new_primes)  # D grows from the primes <= len(a) to those <= n + 1
+    a[:] = [x * ratio for x in a]
+    row = [comb(len(a), j) for j in range(len(a) + 1)]
+    for m in range(len(a), n + 1):
+        row = [x + y for x, y in zip([0, *row], [*row, 0])]  # binom(m + 1, j)
+        if m > 1 and m % 2:
+            a.append(0)
+            continue
+        acc = sum(map(mul, row[0:m:2], a[0:m:2]))
+        if m > 1:
+            acc += (m + 1) * a[1]
+        a.append(-acc // (m + 1))
+
+
+def _tangent_numbers(r: int) -> list[int]:
+    """Tangent numbers T_1..T_r (1, 2, 16, 272, ...) by the Knuth-Buckholtz recurrence in place."""
+    t = [0, 1] + [0] * (r - 1)  # t[k] holds T_k once the second pass ends
+    for k in range(2, r + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, r + 1):
+        prev = t[k - 1]
+        for j in range(k, r + 1):  # t[j] = (j - k) t[j - 1] + (j - k + 2) t[j], t[j - 1] just updated
+            prev = t[j] = (j - k) * prev + (j - k + 2) * t[j]
+    return t[1:]
 
 
 def bernoulli_via_tangent(n: int) -> Fraction:
     """Independent Bernoulli computation through tangent numbers.
 
-    The odd-position zigzag numbers are the tangent numbers T_r, and
-    B_(2r) = (-1)^(r-1) * 2r * T_r / (2^(2r) (2^(2r) - 1)).  Odd n >= 3 give
-    zero; the even values are convention-independent.
+    B_(2r) = (-1)^(r-1) * 2r * T_r / (2^(2r) (2^(2r) - 1)), with T_r from
+    :func:`_tangent_numbers`, r^2/2 small-integer multiply-adds on one list.
+    Nothing is kept between calls.  Odd n >= 3 give zero; the even values
+    are convention-independent.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -93,7 +115,7 @@ def bernoulli_via_tangent(n: int) -> Fraction:
     if n % 2 == 1:
         return Fraction(0)
     r = n // 2
-    tangent = _zigzag_numbers(2 * r - 1)[2 * r - 1]
+    tangent = _tangent_numbers(r)[-1]
     sign = 1 if r % 2 == 1 else -1
     return Fraction(sign * 2 * r * tangent, 2 ** (2 * r) * (2 ** (2 * r) - 1))
 
@@ -106,7 +128,20 @@ def beta(r: int) -> Fraction:
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     sign = 1 if r % 2 == 1 else -1
-    return Fraction((2 ** (2 * r) - 2) * sign) * bernoulli(2 * r) / factorial(2 * r)
+    b = bernoulli(2 * r)
+    return Fraction((2 ** (2 * r) - 2) * sign * b.numerator, b.denominator * factorial(2 * r))
+
+
+# pi to 60 places: _PI**k is within a relative k * 1e-60 of pi^k, far below a float's resolution
+_PI = Fraction("3.141592653589793238462643383279502884197169399375105820974945")
+
+
+def _float_or_inf(value: Fraction) -> float:
+    """``float(value)``, or an infinity of its sign when its magnitude is out of float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -117,7 +152,10 @@ class PiCoefficient:
     pi_power: int
 
     def __float__(self) -> float:
-        return float(self.rational) * math.pi**self.pi_power
+        try:
+            return float(self.rational) * math.pi**self.pi_power
+        except OverflowError:  # a factor is out of float range, the product maybe not
+            return _float_or_inf(self.rational * _PI**self.pi_power)
 
     def __str__(self) -> str:
         frac = f"{self.rational.numerator}/{self.rational.denominator}"
@@ -166,7 +204,8 @@ def converge_report(
     """Truncated star sums against the closed form, along a growing cutoff schedule.
 
     The closed forms are specific to letters (3, 1, 2); other params are
-    rejected.  The schedule must be strictly increasing.  Deviations shrink
+    rejected, and so is a (p, q) whose pi^(4p+2q) is outside the float
+    range.  The schedule must be strictly increasing.  Deviations shrink
     along the schedule because every truncated value grows toward its limit
     from below.
     """
@@ -178,10 +217,13 @@ def converge_report(
         raise ValueError(f"schedule must be strictly increasing, got {schedule}")
     if schedule[0] < 0:
         raise ValueError("cutoffs must be non-negative")
+    try:
+        power = math.pi ** (4 * p + 2 * q)
+    except OverflowError:
+        raise ValueError(f"pi^{4 * p + 2 * q} is outside the float range") from None
     if cache is None:
         cache = ZetaCache()
     closed = float(s_star_closed(p, q).rational)
-    power = math.pi ** (4 * p + 2 * q)
     rows = []
     for m in schedule:
         scaled = float(s_star_direct(p, q, m, params, cache)) / power

@@ -124,6 +124,8 @@ class ZetaCache:
 
     def scaled(self, k: Index, m: int, star: bool) -> int:
         """The zeta (or zeta-star) value of k at cutoff m, times lcm(1..m)**weight(k)."""
+        if m < 0:  # a negative cutoff would read table[m] from the end
+            raise ValueError(f"cutoff m must be non-negative, got {m}")
         tables = self._star if star else self._strict
         tab = tables.get(k)
         if tab is not None and len(tab) > m:

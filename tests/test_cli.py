@@ -386,6 +386,21 @@ class TestEvalCommand:
         assert code == 2
         assert "--index" in err
 
+    def test_bernoulli_beyond_the_float_range_prints_inf(self, capsys):
+        code, out, err = run(["eval", "bernoulli", "--n", "400"], capsys)
+        assert (code, err) == (0, "")
+        numerator, denominator = out.splitlines()[0].split("/")
+        assert int(numerator) < 0 and int(denominator) > 0
+        assert out.splitlines()[1] == "~ -inf"
+        _, out, _ = run(["eval", "bernoulli", "--n", "12"], capsys)  # in range: unchanged
+        assert out.splitlines()[1] == f"~ {-691 / 2730!r}"
+
+    def test_closed_form_with_pi_power_beyond_the_float_range(self, capsys):
+        code, out, err = run(["eval", "closed", "--kind", "s", "--p", "160", "--q", "0"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].endswith(" * pi^640")
+        assert out.splitlines()[1] == "~ 0.0"  # the value is about 1e-1220
+
     def test_float_rendering_on_second_line(self, capsys):
         _, out, _ = run(["eval", "zeta", "--index", "2", "--m", "2"], capsys)
         lines = out.splitlines()
@@ -418,3 +433,8 @@ class TestConvergeCommand:
         )
         assert code == 2
         assert "3, 1, 2" in err
+
+    def test_pi_power_beyond_the_float_range_exits_two_with_one_line(self, capsys):
+        code, out, err = run(["converge", "--p", "160", "--q", "0", "--m", "1,2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: pi^640 is outside the float range\n"

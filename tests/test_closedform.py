@@ -4,10 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import bernoulli_fraction_recurrence, bernoulli_from_zigzag, zigzag_numbers
 
+from mzvsums import closedform
 from mzvsums.closedform import (
     ConvergenceRow,
     PiCoefficient,
+    _tangent_numbers,
     bernoulli,
     bernoulli_via_tangent,
     beta,
@@ -41,6 +44,31 @@ class TestBernoulli:
         for n in range(41):
             assert bernoulli(n) == bernoulli_via_tangent(n)
 
+    def test_kernels_agree_with_both_oracles(self):
+        zigzag = zigzag_numbers(299)
+        for n in range(301):
+            expected = bernoulli_fraction_recurrence(n)
+            assert bernoulli_from_zigzag(n, zigzag) == expected, n
+            assert bernoulli(n) == expected, n
+            assert bernoulli_via_tangent(n) == expected, n
+
+    def test_tangent_numbers_are_the_odd_zigzag_numbers(self):
+        assert _tangent_numbers(150) == zigzag_numbers(299)[1::2]
+
+    def test_von_staudt_clausen(self):
+        # B_2k + sum of 1/p over the primes p with (p - 1) | 2k is an integer.
+        primes = [p for p in range(2, 602) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        for n in range(2, 601, 2):
+            total = bernoulli(n) + sum(F(1, p) for p in primes if n % (p - 1) == 0)
+            assert total.denominator == 1, n
+
+    def test_extending_the_memo_rescales_earlier_values(self, monkeypatch):
+        monkeypatch.setattr(closedform, "_SCALED_BERNOULLI", [1])  # a fresh memo, grown one n at a time
+        small = [bernoulli(n) for n in range(61)]
+        assert small == [bernoulli_fraction_recurrence(n) for n in range(61)]
+        assert bernoulli(400) == bernoulli_via_tangent(400)
+        assert [bernoulli(n) for n in range(61)] == small
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bernoulli(-1)
@@ -63,6 +91,12 @@ class TestBeta:
             truncated = float(zeta_star_trunc((2,) * r, 2000, cache)) / math.pi ** (2 * r)
             assert abs(truncated - float(beta(r))) < 0.01 * float(beta(r))
 
+    def test_matches_its_formula_on_the_oracle_bernoulli_numbers(self):
+        for r in range(151):
+            sign = 1 if r % 2 == 1 else -1
+            expected = F((2 ** (2 * r) - 2) * sign) * bernoulli_fraction_recurrence(2 * r) / math.factorial(2 * r)
+            assert beta(r) == expected, r
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             beta(-1)
@@ -76,6 +110,13 @@ class TestPiCoefficient:
     def test_float_value(self):
         coeff = PiCoefficient(F(1, 6), 2)
         assert abs(float(coeff) - math.pi**2 / 6) < 1e-12
+
+    def test_float_past_the_float_range_of_pi_power(self):
+        # pi^640 overflows a float, but the value itself is about 1e-1220.
+        assert float(s_closed(160, 0)) == 0.0
+        # pi^620 / 10^300 is about 2.7e8: both factors are out of range, the product is not.
+        assert float(PiCoefficient(F(1, 10**300), 620)) == pytest.approx(math.pi**310 * (math.pi**310 / 1e300))
+        assert float(PiCoefficient(F(-(10**400)), 2)) == -math.inf
 
 
 class TestClosedForms:
@@ -149,6 +190,10 @@ class TestConvergeReport:
             converge_report(0, 1, [])
         with pytest.raises(ValueError):
             converge_report(0, 1, [-3, 5])
+
+    def test_rejects_a_pi_power_outside_the_float_range(self):
+        with pytest.raises(ValueError, match=r"pi\^640 is outside the float range"):
+            converge_report(160, 0, [1, 2])
 
     def test_shared_cache_matches_fresh(self):
         cache = ZetaCache()

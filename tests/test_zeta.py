@@ -65,6 +65,16 @@ class TestZetaTrunc:
         with pytest.raises(ValueError):
             zeta_trunc((2,), -1)
 
+    @pytest.mark.parametrize("filled, m", [(5, -1), (1, -3)])
+    def test_cache_methods_reject_negative_cutoffs(self, filled, m):
+        # Unchecked, m = -1 read table[-1] (the filled cutoff's value) and m = -3 raised IndexError.
+        cache = ZetaCache()
+        cache.zeta_star((2,), filled)
+        cache.zeta((2,), filled)
+        for read in (cache.zeta, cache.zeta_star, lambda k, m: cache.scaled(k, m, True)):
+            with pytest.raises(ValueError, match=f"cutoff m must be non-negative, got {m}"):
+                read((2,), m)
+
 
 def test_dp_matches_naive_enumeration_exhaustively():
     # Full sweep: every index of length <= 4 with entries <= 4, every m <= 12.
