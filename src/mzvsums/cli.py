@@ -13,6 +13,13 @@ Exit codes: 0 all checks passed, 1 at least one exact mismatch (a bug, or a
 falsified identity), 2 malformed parameters or usage.  Diagnostics go to
 stderr; reports go to stdout.
 
+Text crosses the boundary in two places each way.  Argument text becomes
+values in ``_parse_ints`` (comma lists: ``--abc``, ``--bounds``,
+``--index``, converge's ``--m``) and ``_parse_range`` (``lo..hi``).  Cases
+carry exact ``Fraction`` values until ``_emit_report`` writes them as
+``numerator/denominator`` for JSON and CSV alike; ``eval`` prints its one
+value with the same ``_frac_str``.
+
 Every sweep runs its cases serially in the calling process.  An
 s/t-identity sweep shares one ``ZetaCache`` across its cases (loaded from
 ``--cache`` when given, saved back afterwards): they reuse each other's
@@ -45,8 +52,19 @@ from .indices import AbcParams
 VERIFY_KINDS = ("s-identity", "t-identity", "gen", "symmetric", "frs", "frt", "homomorphism")
 EVAL_KINDS = ("zeta", "zeta-star", "s", "s-star", "t", "t-star", "bernoulli", "beta", "closed")
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad parameters: reported on stderr, exit code 2."""
+
+
+def _parse_ints(text: str, flag: str, count: int | None = None) -> tuple[int, ...]:
+    """Comma-separated integers ('' gives ()); ``count``, when given, is the required length."""
+    try:
+        values = tuple(int(piece) for piece in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise UsageError(f"{flag}: expected {count} comma-separated integers, got {text!r}")
+    return values
 
 
 def _parse_range(text: str, name: str) -> list[int]:
@@ -65,33 +83,11 @@ def _parse_range(text: str, name: str) -> list[int]:
 
 
 def _parse_abc(text: str) -> AbcParams:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"--abc: expected three comma-separated integers, got {text!r}")
+    values = _parse_ints(text, "--abc", 3)
     try:
-        a, b, c = (int(p) for p in parts)
-        return AbcParams(a, b, c)
+        return AbcParams(*values)
     except ValueError as exc:
         raise UsageError(f"--abc: {exc}") from None
-
-
-def _parse_pair(text: str, name: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{name}: expected two comma-separated integers, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"{name}: expected integers, got {text!r}") from None
-
-
-def _parse_index(text: str) -> tuple[int, ...]:
-    if text.strip() == "":
-        return ()
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"--index: expected comma-separated integers, got {text!r}") from None
 
 
 def _frac_str(v: Fraction) -> str:
@@ -140,12 +136,11 @@ def _run_verify(ns) -> tuple[dict, int]:
             run = []
             for m in reversed(ms):  # top cutoff first: each table is filled once, lower cutoffs read it
                 rep = fn(p, q, m, params, cache)
-                run.append({"p": p, "q": q, "m": m, "lhs": _frac_str(rep.lhs),
-                            "rhs": _frac_str(rep.rhs), "equal": rep.equal})
+                run.append({"p": p, "q": q, "m": m, "lhs": rep.lhs, "rhs": rep.rhs, "equal": rep.equal})
             cases.extend(reversed(run))
         _save_cache(ns.cache, cache)
     elif kind in ("gen", "symmetric"):
-        bx, by = _parse_pair(ns.bounds, "--bounds")
+        bx, by = _parse_ints(ns.bounds, "--bounds", 2)
         if bx < 0 or by < 0:
             raise UsageError("--bounds: bounds must be non-negative")
         report_params.update(m=_range_str(ms), bounds=f"{bx},{by}")
@@ -170,8 +165,7 @@ def _run_verify(ns) -> tuple[dict, int]:
             for m in reversed(ms):  # top cutoff first
                 lhs = harmonic.z_eval(product, m, cache)
                 rhs = harmonic.z_eval(u, m, cache) * harmonic.z_eval(v, m, cache)
-                run.append({"m": m, "u": repr(u), "v": repr(v),
-                            "lhs": _frac_str(lhs), "rhs": _frac_str(rhs), "equal": lhs == rhs})
+                run.append({"m": m, "u": repr(u), "v": repr(v), "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
             cases.extend(reversed(run))
 
     if os.environ.get("MZV_CORRUPT_IDENTITY") and cases:
@@ -179,11 +173,8 @@ def _run_verify(ns) -> tuple[dict, int]:
         # exercised end to end without a real bug.
         first = cases[0]
         if "lhs" in first:
-            lhs_n, lhs_d = first["lhs"].split("/")
-            first["lhs"] = _frac_str(Fraction(int(lhs_n) + int(lhs_d), int(lhs_d)))
-            first["equal"] = first["lhs"] == first["rhs"]
-        else:
-            first["equal"] = False
+            first["lhs"] += 1
+        first["equal"] = False
 
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     all_passed = all(case["equal"] for case in cases)
@@ -221,14 +212,16 @@ def _save_cache(path, cache) -> None:
 
 
 def _emit_report(report: dict, fmt: str, out) -> None:
+    """Write the report; every rational in a case becomes ``numerator/denominator`` text here."""
+    cases = [{key: _frac_str(value) if isinstance(value, Fraction) else value for key, value in case.items()}
+             for case in report["cases"]]
     if fmt == "json":
-        json.dump(report, out, indent=2)
+        json.dump({**report, "cases": cases}, out, indent=2)
         out.write("\n")
     else:
-        fields = list(report["cases"][0].keys()) if report["cases"] else ["equal"]
-        writer = csv.DictWriter(out, fieldnames=fields)
+        writer = csv.DictWriter(out, fieldnames=list(cases[0]) if cases else ["equal"])
         writer.writeheader()
-        writer.writerows(report["cases"])
+        writer.writerows(cases)
 
 
 def _run_eval(ns, out) -> int:
@@ -236,9 +229,8 @@ def _run_eval(ns, out) -> int:
     if kind in ("zeta", "zeta-star"):
         if ns.index is None or ns.m is None:
             raise UsageError(f"eval {kind} requires --index and --m")
-        idx = _parse_index(ns.index)
         fn = zeta.zeta_trunc if kind == "zeta" else zeta.zeta_star_trunc
-        value = fn(idx, ns.m)
+        value = fn(_parse_ints(ns.index, "--index"), ns.m)
     elif kind in ("s", "s-star", "t", "t-star"):
         if ns.p is None or ns.q is None or ns.m is None:
             raise UsageError(f"eval {kind} requires --p, --q and --m")
@@ -269,15 +261,8 @@ def _run_eval(ns, out) -> int:
 
 
 def _run_converge(ns, out) -> int:
-    try:
-        schedule = [int(v) for v in ns.m.split(",")]
-    except ValueError:
-        raise UsageError(f"--m: expected comma-separated integers, got {ns.m!r}") from None
-    params = _parse_abc(ns.abc)
-    try:
-        rows = closedform.converge_report(ns.p, ns.q, schedule, params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    schedule = _parse_ints(ns.m, "--m")
+    rows = closedform.converge_report(ns.p, ns.q, schedule, _parse_abc(ns.abc))
     writer = csv.writer(out)
     writer.writerow(["m", "truncated_over_pi_power", "closed_form", "abs_error"])
     for row in rows:
@@ -343,10 +328,7 @@ def main(argv=None) -> int:
         if ns.command == "eval":
             return _run_eval(ns, out)
         return _run_converge(ns, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a UsageError, or a library function refusing its arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -400,6 +400,8 @@ def family_series_star(m: int, params: AbcParams, bounds: tuple[int, int]) -> tu
 
 
 def _run_poly(m: int, c: int, bound: int, star: bool) -> UnivarPoly:
+    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+        raise ValueError(f"letter c must be an integer >= 1, got {c!r}")
     (row,), lcm = _at(m, (c, c, c), (0, bound), star)
     return UnivarPoly([Fraction(v, lcm ** (c * r)) for r, v in enumerate(row)], bound)
 

@@ -173,6 +173,8 @@ class ZetaCache:
 
     def lcm(self, m: int) -> int:
         """lcm(1..m), extending the shared lists as needed."""
+        if m < 0:  # a negative cutoff would read lcms[m] from the end
+            raise ValueError(f"cutoff m must be non-negative, got {m}")
         lcms = self._lcms
         for t in range(len(lcms), m + 1):
             lt = math.lcm(lcms[-1], t)

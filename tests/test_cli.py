@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing.process
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +125,8 @@ class TestVerifyCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4
         assert set(rows[0]) == {"p", "q", "m", "lhs", "rhs", "equal"}
+        _, out, _ = run(["verify", "s-identity", "--p", "0", "--q", "1", "--m", "0..3"], capsys)
+        assert rows == [{key: str(value) for key, value in case.items()} for case in parse_json(out)["cases"]]
 
     def test_corrupt_hook_forces_exit_one(self, capsys, monkeypatch):
         monkeypatch.setenv("MZV_CORRUPT_IDENTITY", "1")
@@ -133,6 +136,25 @@ class TestVerifyCommand:
         assert report["all_passed"] is False
         assert report["cases"][0]["equal"] is False
         assert "MISMATCH" in err
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("t-identity", ["--abc", "5,3,4", "--p", "0..1", "--q", "0..1", "--m", "2..4"]),
+        ("homomorphism", ["--m", "0..2", "--count", "3", "--seed", "4"]),
+    ])
+    def test_corrupt_hook_adds_one_to_the_first_lhs_only(self, capsys, monkeypatch, kind, extra):
+        argv = ["verify", kind, *extra]
+        _, out, _ = run(argv, capsys)
+        true_cases = parse_json(out)["cases"]
+        monkeypatch.setenv("MZV_CORRUPT_IDENTITY", "1")
+        code, out, _ = run(argv, capsys)
+        assert code == 1
+        report = parse_json(out)
+        assert report["all_passed"] is False
+        first, true_first = report["cases"][0], true_cases[0]
+        assert Fraction(first["lhs"]) == Fraction(true_first["lhs"]) + 1
+        assert first["equal"] is False
+        assert {**first, "lhs": true_first["lhs"], "equal": True} == true_first
+        assert report["cases"][1:] == true_cases[1:]
 
     def test_unbalanced_letters_exit_two(self, capsys):
         code, _, err = run(["verify", "s-identity", "--abc", "3,1,1"], capsys)
@@ -325,6 +347,29 @@ class TestSweepOrder:
         tables = {(k, False) for k in cache._strict if k} | {(k, True) for k in cache._star if k}
         assert sorted(extended) == sorted(tables)
         assert sorted(enumerated) == [(i, j) for i in range(3) for j in range(3)]
+
+
+class TestCommaLists:
+    """Every comma-list flag goes through one parser: bad text exits 2 with one stderr line naming the flag."""
+
+    @pytest.mark.parametrize("argv, err_start", [
+        (["verify", "s-identity", "--abc", "3,1"], "error: --abc"),
+        (["verify", "s-identity", "--abc", "3,x,2"], "error: --abc"),
+        (["verify", "s-identity", "--abc", "2,,1"], "error: --abc"),
+        (["verify", "gen", "--bounds", "4"], "error: --bounds"),
+        (["verify", "gen", "--bounds", "4,x"], "error: --bounds"),
+        (["verify", "gen", "--bounds", "2,,1"], "error: --bounds"),
+        (["eval", "zeta", "--index", "2,x", "--m", "3"], "error: --index"),
+        (["eval", "zeta", "--index", "2,,1", "--m", "3"], "error: --index"),
+        (["converge", "--p", "0", "--q", "1", "--m", ""], "error: schedule must be non-empty"),
+        (["converge", "--p", "0", "--q", "1", "--m", "5,x"], "error: --m"),
+        (["converge", "--p", "0", "--q", "1", "--m", "2,,1"], "error: --m"),
+    ])
+    def test_malformed_list_exits_two_with_one_line(self, capsys, argv, err_start):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(err_start) and err.count("\n") == 1, err
 
 
 class TestEvalCommand:

@@ -128,6 +128,13 @@ class TestRunSeries:
                     assert h.coeff(r) == zeta_trunc((c,) * r, m, cache)
                     assert hstar.coeff(r) == zeta_star_trunc((c,) * r, m, cache)
 
+    @pytest.mark.parametrize("c", [-1, 0, True, 2.0, "2"])
+    def test_run_polys_refuse_a_letter_that_is_not_a_positive_int(self, c):
+        # Unchecked, c = -1 failed inside Fraction, c = 0 gave binomial coefficients and True ran as 1.
+        for run_poly in (zeta_run_poly, zeta_star_run_poly):
+            with pytest.raises(ValueError, match=f"letter c must be an integer >= 1, got {c!r}"):
+                run_poly(3, c, 3)
+
     def test_inverse_relation(self):
         for m in range(11):
             h = zeta_run_poly(m, 2, 8)

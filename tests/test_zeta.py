@@ -270,6 +270,16 @@ class TestIntegerTables:
         cache = ZetaCache()
         assert [cache.lcm(t) for t in range(11)] == [1, 1, 2, 6, 12, 60, 60, 420, 840, 2520, 2520]
 
+    @pytest.mark.parametrize("filled", [0, 10])
+    def test_lcm_rejects_negative_cutoffs(self, filled):
+        # Unchecked, a cache filled to 10 gave lcm(-3) == 840, which is L_8.
+        cache = ZetaCache()
+        cache.lcm(filled)
+        for m in (-1, -3):
+            with pytest.raises(ValueError, match=f"cutoff m must be non-negative, got {m}"):
+                cache.lcm(m)
+        assert cache.lcm(filled) == ZetaCache().lcm(filled)
+
     @pytest.mark.parametrize("params", ACCEPTANCE_TRIPLES)
     def test_family_members_share_the_identity_weight(self, params):
         from mzvsums.indices import index_family_I, index_family_J
