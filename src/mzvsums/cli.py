@@ -11,7 +11,8 @@ Three subcommands:
 
 Exit codes: 0 all checks passed, 1 at least one exact mismatch (a bug, or a
 falsified identity), 2 malformed parameters or usage.  Diagnostics go to
-stderr; reports go to stdout.
+stderr, one ``error:`` line per failure, also for what argparse itself
+rejects (an unknown kind, a flag without its value); reports go to stdout.
 
 Text crosses the boundary in two places each way.  Argument text becomes
 values in ``_parse_ints`` (comma lists: ``--abc``, ``--bounds``,
@@ -54,6 +55,13 @@ EVAL_KINDS = ("zeta", "zeta-star", "s", "s-star", "t", "t-star", "bernoulli", "b
 
 class UsageError(ValueError):
     """Bad parameters: reported on stderr, exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one-line ``UsageError``s; subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _parse_ints(text: str, flag: str, count: int | None = None) -> tuple[int, ...]:
@@ -216,8 +224,7 @@ def _emit_report(report: dict, fmt: str, out) -> None:
     cases = [{key: _frac_str(value) if isinstance(value, Fraction) else value for key, value in case.items()}
              for case in report["cases"]]
     if fmt == "json":
-        json.dump({**report, "cases": cases}, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps({**report, "cases": cases}, indent=2) + "\n")  # one write, not json.dump's many
     else:
         writer = csv.DictWriter(out, fieldnames=list(cases[0]) if cases else ["equal"])
         writer.writeheader()
@@ -272,7 +279,7 @@ def _run_converge(ns, out) -> int:
 
 @functools.cache  # built once per process: rebuilding cost more than a small sweep
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mzvsums",
         description="Exact truncated multiple zeta(-star) sums and identity verification.",
     )
@@ -314,10 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     out = sys.stdout
     try:
+        ns = _build_parser().parse_args(argv)
         if ns.command == "verify":
             report, code = _run_verify(ns)
             _emit_report(report, ns.format, out)

@@ -23,6 +23,9 @@ of words.  Three structures live here:
 * the evaluation maps ``z_eval`` (word -> truncated zeta value at cutoff m,
   an algebra homomorphism for the quasi-shuffle product) and ``z_star_eval``
   (evaluation after star expansion, giving truncated zeta-star values).
+  Evaluation sums the words' scaled integer numerators (value times
+  lcm(1..m)**weight, read from a ``ZetaCache``) per weight and builds one
+  ``Fraction``, not one per word.
 
 On top of these, ``word_sum_s`` / ``word_sum_t`` lift the shuffle families
 to word sums, and the ``verify_*_symbolic`` functions check, purely
@@ -220,13 +223,20 @@ def z_eval(u: HPoly, m: int, cache: ZetaCache | None = None) -> Fraction:
     """Evaluate each word as a truncated zeta value at cutoff m, linearly.
 
     This is an algebra homomorphism for :func:`harmonic_mul`:
-    z_eval(u * v) = z_eval(u) z_eval(v) at every cutoff.
+    z_eval(u * v) = z_eval(u) z_eval(v) at every cutoff.  Sums the scaled
+    numerators ``cache.scaled`` per weight, then divides once, by
+    lcm(1..m)**(largest weight).
     """
     if m < 0:
         raise ValueError(f"cutoff m must be non-negative, got {m}")
     if cache is None:
         cache = ZetaCache()
-    return sum((c * cache.zeta(w, m) for w, c in u.terms.items()), Fraction(0))
+    by_weight: dict[int, int | Fraction] = {}  # weight -> sum of c * value * lcm(1..m)**weight
+    for w, c in u.terms.items():
+        weight = sum(w)
+        by_weight[weight] = by_weight.get(weight, 0) + c * cache.scaled(w, m, False)
+    lm, top = cache.lcm(m), max(by_weight, default=0)
+    return Fraction(sum(n * lm ** (top - weight) for weight, n in by_weight.items()), lm**top)
 
 
 def z_star_eval(u: HPoly, m: int, cache: ZetaCache | None = None) -> Fraction:

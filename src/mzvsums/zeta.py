@@ -21,7 +21,8 @@ prime power) the recurrences become integer updates:
     N_t(k) = N_{t-1}(k) * r**w + (L_t // t)**k_1 * N_{t-1}(k_2..k_n) * r**(w - k_1)
     N*_t(k) = N*_{t-1}(k) * r**w + (L_t // t)**k_1 * N*_t(k_2..k_n)
 
-A ``Fraction`` is built only where a value leaves the module.  A separately
+The factors r**w come from one list per weight w, kept by the cache.  A
+``Fraction`` is built only where a value leaves the module.  A separately
 coded brute-force enumerator over monotone tuples (``zeta_trunc_naive`` /
 ``zeta_star_trunc_naive``) is kept as an oracle for small inputs.
 
@@ -85,8 +86,9 @@ class ZetaCache:
     entry carries its own L_t, so a table extends in place when a larger
     cutoff is requested, with no rescale pass, and evaluating at m = 100
     after m = 800 costs a lookup.  Beside the lcm list the cache keeps the
-    ratios L_t // L_(t-1) and, per first letter k0, the factors
-    (L_t // t)**k0, so ``_extend`` computes neither per table.
+    ratios r_t = L_t // L_(t-1) and two kinds of factor lists, each extended
+    only when a cutoff outgrows it: per first letter k0, (L_t // t)**k0, and
+    per weight w, r_t**w.  So ``_extend`` computes no power per entry.
 
     Family sums go through a memo: each (family, i, j, params) is enumerated
     once per cache, and each (family, i, j, params, star) keeps its members
@@ -112,6 +114,7 @@ class ZetaCache:
         self._lcms: list[int] = [1]  # L_t = lcm(1..t)
         self._ratios: list[int] = [1]  # L_t // L_(t-1)
         self._steps: dict[int, list[int]] = {}  # first letter k0 -> (L_t // t)**k0 by t
+        self._powers: dict[int, list[int]] = {}  # weight w -> (L_t // L_(t-1))**w by t
         self._members: dict[tuple, IndexMultiset] = {}  # (family, i, j, params) -> the family
         # (family, i, j, params, star) -> (filled cutoff, [(multiplicity, member table)])
         self._families: dict[tuple, tuple[int, list]] = {}
@@ -190,14 +193,19 @@ class ZetaCache:
         for t in range(len(steps), m + 1):
             steps.append((self._lcms[t] // t) ** k0)
         w = sum(suf)
+        powers = self._powers
+        for v in (w, w - k0):  # the strict recurrence rescales suf[1:] at cutoff t-1, of weight w - k0
+            pv = powers.setdefault(v, [])
+            if len(pv) <= m:
+                pv.extend([r**v for r in ratios[len(pv):]])
+        pw, ps = powers[w], powers[w - k0]
         n = tab[-1]
         for t in range(len(tab), m + 1):
-            r = ratios[t]
             s = sub[t] if star else sub[t - 1]
-            if r != 1:  # t is a prime power: bring the cutoff t-1 numerators to L_t
-                n *= r**w
+            if ratios[t] != 1:  # t is a prime power: bring the cutoff t-1 numerators to L_t
+                n *= pw[t]
                 if not star:
-                    s *= r ** (w - k0)
+                    s *= ps[t]
             n += steps[t] * s
             tab.append(n)
 

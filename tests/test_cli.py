@@ -44,6 +44,11 @@ class TestVerifyCommand:
             assert key in report["params"]
         assert report["params"]["m"] is None
 
+    @pytest.mark.parametrize("kind", ["t-identity", "homomorphism", "frs"])
+    def test_json_report_is_two_space_indented_with_one_final_newline(self, capsys, kind):
+        _, out, _ = run(["verify", kind, "--p", "0..1", "--q", "1", "--m", "2..3", "--count", "2"], capsys)
+        assert out == json.dumps(parse_json(out), indent=2) + "\n"
+
     def test_rationals_serialize_in_lowest_terms(self, capsys):
         _, out, _ = run(["verify", "t-identity", "--p", "0..1", "--q", "0..1", "--m", "0..6"], capsys)
         report = parse_json(out)
@@ -167,9 +172,10 @@ class TestVerifyCommand:
         assert "--p" in err
 
     def test_unknown_kind_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "nonsense"])
-        assert exc.value.code == 2
+        code, out, err = run(["verify", "nonsense"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: argument kind: invalid choice: 'nonsense'") and err.count("\n") == 1, err
 
     def test_cache_roundtrip(self, capsys, tmp_path):
         path = str(tmp_path / "tables.pkl")
@@ -370,6 +376,34 @@ class TestCommaLists:
         assert code == 2
         assert out == ""
         assert err.startswith(err_start) and err.count("\n") == 1, err
+
+
+class TestArgparseErrors:
+    """What argparse rejects is one stderr line and exit 2, like every other usage error."""
+
+    @pytest.mark.parametrize("argv, err_start", [
+        (["eval", "nonsense"], "error: argument kind: invalid choice: 'nonsense'"),
+        (["verify", "gen", "--bounds"], "error: argument --bounds: expected one argument"),
+        # argparse reads a leading minus as an option; --bounds=-1,2 reaches the bounds check
+        (["verify", "gen", "--bounds", "-1,2"], "error: argument --bounds: expected one argument"),
+        (["verify", "gen", "--bounds=-1,2"], "error: --bounds: bounds must be non-negative"),
+        (["eval", "zeta", "--m", "x"], "error: argument --m: invalid int value: 'x'"),
+        ([], "error: the following arguments are required: command"),
+    ])
+    def test_exits_two_with_one_line(self, capsys, argv, err_start):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(err_start) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_zero_with_the_full_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: mzvsums") and "show this help message and exit" in captured.out
+        assert captured.err == ""
 
 
 class TestEvalCommand:

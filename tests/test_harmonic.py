@@ -30,7 +30,9 @@ from mzvsums.zeta import (
     verify_identity_s,
     verify_identity_t,
     zeta_star_trunc,
+    zeta_star_trunc_naive,
     zeta_trunc,
+    zeta_trunc_naive,
 )
 
 P312 = AbcParams(3, 1, 2)
@@ -187,6 +189,32 @@ class TestEvaluation:
                 expanded = star_expand(HPoly.word(k))
                 for m in range(13):
                     assert z_eval(expanded, m, cache) == zeta_star_trunc(k, m, cache)
+
+
+class TestEvaluationOracle:
+    """z_eval / z_star_eval against per-word brute-force enumeration, summed in Fraction arithmetic."""
+
+    POLYS = [
+        HPoly.zero(),
+        HPoly.unit(),
+        HPoly({(): Fraction(-2, 3)}),
+        # mixed weights 0..5, Fraction and negative coefficients
+        HPoly({(): 3, (2,): Fraction(-1, 3), (1, 2): 5, (3, 1, 1): Fraction(7, 2), (1,): -4}),
+        # one weight, coefficients summing to zero
+        HPoly({(2, 1): 1, (1, 2): -1, (3,): Fraction(1, 2), (1, 1, 1): Fraction(-1, 2)}),
+        # mixed weights, coefficients summing to zero, the empty word among them
+        HPoly({(): 2, (1,): -3, (2, 1): Fraction(1, 2), (4,): Fraction(5, 7), (2, 2, 1): Fraction(-3, 14)}),
+    ]
+
+    @pytest.mark.parametrize("u", POLYS, ids=repr)
+    def test_matches_the_per_word_naive_sums(self, u):
+        cache = ZetaCache()
+        for m in range(7):
+            strict = sum((c * zeta_trunc_naive(k, m) for k, c in u.terms.items()), Fraction(0))
+            star = sum((c * zeta_star_trunc_naive(k, m) for k, c in u.terms.items()), Fraction(0))
+            for got, want in ((z_eval(u, m), strict), (z_eval(u, m, cache), strict),
+                              (z_star_eval(u, m), star), (z_star_eval(u, m, cache), star)):
+                assert type(got) is Fraction and got == want, (m, got, want)
 
 
 class TestWordSums:

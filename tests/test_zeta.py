@@ -291,6 +291,45 @@ class TestIntegerTables:
                 assert {sum(k) for k in index_family_J(p, q, params)} == {b + c * (2 * p + q)}
 
 
+class TestPowerLists:
+    """The per-weight lists of (L_t // L_(t-1))**w, shared by every table of weight w, strict and star."""
+
+    # Weights 3 and 4 are each shared by strict and star tables, and by suffixes whose tails differ.
+    WORDS = [(3,), (2, 1), (1, 2), (1, 1, 1), (4,), (3, 1), (1, 3), (2, 2), (2, 1, 1), (1, 2, 1)]
+
+    def _stepped(self) -> ZetaCache:
+        """A cache filled at 3, then 9, then 16 (crossing the prime powers 4, 5, 7, 8, 9, 11, 13, 16)."""
+        cache = ZetaCache()
+        for m in (3, 9, 16):
+            for i, k in enumerate(self.WORDS):  # star and strict requests interleaved
+                star = (i + m) % 2 == 0
+                cache.scaled(k, m, star)
+                cache.scaled(k, m, not star)
+        return cache
+
+    def test_stepped_cache_matches_one_fill_and_the_naive_oracles(self):
+        stepped, fresh = self._stepped(), ZetaCache()
+        for k in self.WORDS:
+            fresh.scaled(k, 16, False)
+            fresh.scaled(k, 16, True)
+        assert stepped._strict == fresh._strict and stepped._star == fresh._star
+        for m in (3, 4, 9, 13, 16):
+            for k in self.WORDS:
+                assert stepped.zeta(k, m) == zeta_trunc_naive(k, m), (k, m)
+                assert stepped.zeta_star(k, m) == zeta_star_trunc_naive(k, m), (k, m)
+
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    def test_load_refuses_a_damaged_last_entry(self, tmp_path, star):
+        cache = self._stepped()
+        path = tmp_path / "tables.pkl"
+        cache.save(path)
+        assert ZetaCache.load(path).zeta((1, 2, 1), 16) == zeta_trunc_naive((1, 2, 1), 16)
+        (cache._star if star else cache._strict)[(1, 2, 1)][-1] += 1  # cutoff 16, a prime power
+        cache.save(path)
+        with pytest.raises(ValueError, match=r"the table of \(1, 2, 1\) fails its recurrence at cutoff 16"):
+            ZetaCache.load(path)
+
+
 class TestFamilyMemo:
     """A cache keeps each family's member tables; a later, larger cutoff refills them."""
 
