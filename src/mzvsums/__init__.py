@@ -38,16 +38,13 @@ from .harmonic import (
 )
 from .indices import (
     AbcParams,
-    expected_family_size,
     index_family_I,
     index_family_J,
     shuffles,
-    total_multiplicity,
     validate_index,
 )
 from .series import (
     BivarPoly,
-    Mat2,
     SeriesIdentityReport,
     UnivarPoly,
     check_star_factorization,
@@ -58,8 +55,6 @@ from .series import (
     family_series_star,
     iter_family_series,
     iter_family_series_star,
-    step_matrix,
-    step_matrix_star,
     zeta_run_poly,
     zeta_star_run_poly,
 )
@@ -85,7 +80,6 @@ __all__ = [
     "ConvergenceRow",
     "HPoly",
     "IdentityReport",
-    "Mat2",
     "PiCoefficient",
     "SeriesIdentityReport",
     "UnivarPoly",
@@ -98,7 +92,6 @@ __all__ = [
     "check_symmetric_form",
     "converge_report",
     "decompositions",
-    "expected_family_size",
     "extract_s",
     "extract_t",
     "family_series",
@@ -114,11 +107,8 @@ __all__ = [
     "s_star_direct",
     "shuffles",
     "star_expand",
-    "step_matrix",
-    "step_matrix_star",
     "t_direct",
     "t_star_direct",
-    "total_multiplicity",
     "validate_index",
     "verify_identity_s",
     "verify_identity_s_symbolic",

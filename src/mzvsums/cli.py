@@ -10,9 +10,10 @@ Three subcommands:
   closed form along a growing cutoff schedule.
 
 Exit codes: 0 all checks passed, 1 at least one exact mismatch (a bug, or a
-falsified identity), 2 malformed parameters or usage.  Diagnostics go to
-stderr, one ``error:`` line per failure, also for what argparse itself
-rejects (an unknown kind, a flag without its value); reports go to stdout.
+falsified identity), 2 malformed parameters or usage, or running out of
+memory.  Diagnostics go to stderr, one ``error:`` line per failure, also for
+what argparse itself rejects (an unknown kind, a flag without its value);
+reports go to stdout.
 
 Text crosses the boundary in two places each way.  Argument text becomes
 values in ``_parse_ints`` (comma lists: ``--abc``, ``--bounds``,
@@ -116,6 +117,25 @@ def _word_case(check, params, p, q) -> dict:
     return {"p": p, "q": q, "lhs_terms": rep.lhs_terms, "rhs_terms": rep.rhs_terms, "equal": rep.equal}
 
 
+def _identity_case(fn, params, cache, p, q, m) -> dict:
+    rep = fn(p, q, m, params, cache)
+    return {"p": p, "q": q, "m": m, "lhs": rep.lhs, "rhs": rep.rhs, "equal": rep.equal}
+
+
+def _homomorphism_case(u, v, product, cache, m) -> dict:
+    lhs = harmonic.z_eval(product, m, cache)
+    rhs = harmonic.z_eval(u, m, cache) * harmonic.z_eval(v, m, cache)
+    return {"m": m, "u": repr(u), "v": repr(v), "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+
+
+def _top_cutoff_first(ms, case) -> list[dict]:
+    """``case(m)`` for each cutoff, in ascending order, computed from the top cutoff down.
+
+    The top cutoff fills each zeta table once; the lower cutoffs only read it.
+    """
+    return [case(m) for m in reversed(ms)][::-1]
+
+
 def _map_cases(worker, arglist) -> list[dict]:
     """``worker(*args)`` for each argument tuple, in order."""
     return [worker(*args) for args in arglist]
@@ -141,11 +161,7 @@ def _run_verify(ns) -> tuple[dict, int]:
         fn = zeta.verify_identity_s if kind == "s-identity" else zeta.verify_identity_t
         cases = []
         for p, q in itertools.product(ps, qs):
-            run = []
-            for m in reversed(ms):  # top cutoff first: each table is filled once, lower cutoffs read it
-                rep = fn(p, q, m, params, cache)
-                run.append({"p": p, "q": q, "m": m, "lhs": rep.lhs, "rhs": rep.rhs, "equal": rep.equal})
-            cases.extend(reversed(run))
+            cases += _top_cutoff_first(ms, functools.partial(_identity_case, fn, params, cache, p, q))
         _save_cache(ns.cache, cache)
     elif kind in ("gen", "symmetric"):
         bx, by = _parse_ints(ns.bounds, "--bounds", 2)
@@ -169,12 +185,7 @@ def _run_verify(ns) -> tuple[dict, int]:
             u = harmonic.HPoly.word(tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4))))
             v = harmonic.HPoly.word(tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4))))
             product = harmonic.harmonic_mul(u, v)
-            run = []
-            for m in reversed(ms):  # top cutoff first
-                lhs = harmonic.z_eval(product, m, cache)
-                rhs = harmonic.z_eval(u, m, cache) * harmonic.z_eval(v, m, cache)
-                run.append({"m": m, "u": repr(u), "v": repr(v), "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
-            cases.extend(reversed(run))
+            cases += _top_cutoff_first(ms, functools.partial(_homomorphism_case, u, v, product, cache))
 
     if os.environ.get("MZV_CORRUPT_IDENTITY") and cases:
         # Test hook: falsify one case so the mismatch exit path can be
@@ -336,6 +347,9 @@ def main(argv=None) -> int:
         return _run_converge(ns, out)
     except ValueError as exc:  # a UsageError, or a library function refusing its arguments
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an input too large for the memory at hand is not a mismatch
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "HPoly",
     "Word",
     "WordIdentityReport",
-    "concat",
     "harmonic_mul",
     "star_expand",
     "verify_identity_s_symbolic",
@@ -64,8 +63,8 @@ class HPoly:
 
     Words must be valid indices and coefficients ``int`` or ``Fraction``; the
     term map never stores zero coefficients, so ``==`` is structural.  The
-    vector-space operations are methods; the algebra products live in
-    :func:`concat` and :func:`harmonic_mul`.
+    vector-space operations are methods; the algebra product is
+    :func:`harmonic_mul`.
     """
 
     __slots__ = ("terms",)
@@ -134,14 +133,6 @@ def _add_into(out: dict, terms: dict, scale) -> None:
     """out += scale * terms, on term maps."""
     for w, v in terms.items():
         out[w] = out.get(w, 0) + scale * v
-
-
-def concat(u: HPoly, v: HPoly) -> HPoly:
-    """Bilinear word concatenation (the free, noncommutative product)."""
-    out: dict = {}
-    for w1, c1 in u.terms.items():
-        _add_into(out, {w1 + w2: c2 for w2, c2 in v.terms.items()}, c1)
-    return HPoly(out)
 
 
 def _prefix_into(out: dict, letter: int, terms: dict) -> None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 Index = tuple[int, ...]
 IndexMultiset = dict[Index, int]
@@ -109,13 +108,3 @@ def index_family_J(p: int, q: int, params: AbcParams) -> IndexMultiset:
 def _check_pq(p: int, q: int) -> None:
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be non-negative, got p={p}, q={q}")
-
-
-def total_multiplicity(family: IndexMultiset) -> int:
-    return sum(family.values())
-
-
-def expected_family_size(p: int, q: int, with_prefix: bool = False) -> int:
-    """Total multiplicity of the (p, q) family: binomial(2p+q(+1), q)."""
-    n = 2 * p + q + (1 if with_prefix else 0)
-    return comb(n, q)

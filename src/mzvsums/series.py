@@ -24,8 +24,9 @@ multiplies each cell by (L_l/L_(l-1))^w, then the recurrence multiplies by
 (L_l/l)^c and (L_l/l)^e.  One ``Fraction`` per coefficient is built only where
 a value leaves the module.  As a + b = 2c, every x^i y^j cell of F, F* and of
 a run factor h(+-x +- y) has weight c(i + j), so the identity checks compare
-integer grids over L_m^(c(i + j)) cell by cell.  The literal forms
-(``step_matrix*``, ``Mat2``, ``*_sides``) stay as the oracle, off the hot path.
+integer grids over L_m^(c(i + j)) cell by cell.  The ``BivarPoly`` sides of
+both identities (``*_sides``) are kept as a reference, off the hot path; the
+literal step matrices live with the tests' oracles.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .indices import AbcParams, _check_pq
 
 __all__ = [
     "BivarPoly",
-    "Mat2",
     "SeriesIdentityReport",
     "UnivarPoly",
     "check_star_factorization",
@@ -51,8 +51,6 @@ __all__ = [
     "iter_family_series",
     "iter_family_series_star",
     "star_factorization_sides",
-    "step_matrix",
-    "step_matrix_star",
     "symmetric_form_sides",
     "zeta_run_poly",
     "zeta_star_run_poly",
@@ -271,65 +269,6 @@ class UnivarPoly:
             for r, v in enumerate(self.coeffs)
             if v != 0
         )
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 matrix of truncated bivariate polynomials sharing one degree box."""
-
-    a: BivarPoly
-    b: BivarPoly
-    c: BivarPoly
-    d: BivarPoly
-
-    def __post_init__(self):
-        bounds = {(e.bound_x, e.bound_y) for e in (self.a, self.b, self.c, self.d)}
-        if len(bounds) != 1:
-            raise ValueError("matrix entries must share truncation bounds")
-
-    def apply(self, f: BivarPoly, g: BivarPoly) -> tuple[BivarPoly, BivarPoly]:
-        """Multiply the column vector (f, g) on the left."""
-        return self.a * f + self.b * g, self.c * f + self.d * g
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "Mat2":
-        """Truncated-series inverse via the adjugate and the determinant reciprocal."""
-        det = self.a * self.d - self.b * self.c
-        r = det.reciprocal()
-        return Mat2(self.d * r, -self.b * r, -self.c * r, self.a * r)
-
-
-def _xy_entries(l: int, params: AbcParams, bx: int, by: int, diag_sign: int):
-    inv_c = Fraction(1, l**params.c)
-    diag = BivarPoly({(0, 0): 1, (0, 1): diag_sign * inv_c}, bx, by)
-    upper = BivarPoly({(1, 0): Fraction(1, l**params.a)}, bx, by)
-    lower = BivarPoly({(1, 0): Fraction(1, l**params.b)}, bx, by)
-    return diag, upper, lower
-
-
-def step_matrix(l: int, params: AbcParams, bound_x: int, bound_y: int) -> Mat2:
-    """Level-l step matrix for the plain family series."""
-    diag, upper, lower = _xy_entries(l, params, bound_x, bound_y, +1)
-    return Mat2(diag, upper, lower, diag)
-
-
-def step_matrix_star(l: int, params: AbcParams, bound_x: int, bound_y: int) -> Mat2:
-    """Level-l step matrix for the star family series.
-
-    The scalar prefactor 1 / ((1 - (y-x)/l^c)(1 - (y+x)/l^c)) is expanded as
-    a product of two truncated geometric series.
-    """
-    diag, upper, lower = _xy_entries(l, params, bound_x, bound_y, -1)
-    geo = UnivarPoly.geometric(Fraction(1, l**params.c), bound_x + bound_y)
-    pref = geo.subs_linear(-1, 1, bound_x, bound_y) * geo.subs_linear(1, 1, bound_x, bound_y)
-    return Mat2(diag * pref, upper * pref, lower * pref, diag * pref)
 
 
 def _weight(exponents: tuple[int, int, int], i: int, j: int) -> int:

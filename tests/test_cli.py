@@ -177,6 +177,16 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: argument kind: invalid choice: 'nonsense'") and err.count("\n") == 1, err
 
+    def test_memory_error_exits_two_with_one_line(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(harmonic, "verify_identity_s_symbolic", exhausted)
+        code, out, err = run(["verify", "frs", "--p", "0", "--q", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_cache_roundtrip(self, capsys, tmp_path):
         path = str(tmp_path / "tables.pkl")
         argv = ["verify", "s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..8",

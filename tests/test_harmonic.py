@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import zeta_star_trunc_naive, zeta_trunc_naive
 
 from mzvsums import harmonic, zeta
 from mzvsums.harmonic import (
     HPoly,
-    concat,
     harmonic_mul,
     star_expand,
     verify_identity_s_symbolic,
@@ -30,9 +30,7 @@ from mzvsums.zeta import (
     verify_identity_s,
     verify_identity_t,
     zeta_star_trunc,
-    zeta_star_trunc_naive,
     zeta_trunc,
-    zeta_trunc_naive,
 )
 
 P312 = AbcParams(3, 1, 2)
@@ -84,19 +82,6 @@ class TestHPoly:
 
     def test_constructor_keeps_exact_coefficients(self):
         assert HPoly({(2,): Fraction(1, 3), (3,): 2, (4,): 0}).terms == {(2,): Fraction(1, 3), (3,): 2}
-
-
-class TestConcat:
-    def test_word_concatenation(self):
-        assert concat(w(2), w(3)) == w(2, 3)
-
-    def test_unit_is_neutral(self):
-        u = w(3, 1) + w(2) * 2
-        assert concat(HPoly.unit(), u) == u
-        assert concat(u, HPoly.unit()) == u
-
-    def test_bilinear(self):
-        assert concat(w(1) + w(2), w(1)) == w(1, 1) + w(2, 1)
 
 
 class TestHarmonicMul:

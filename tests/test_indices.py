@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 
 from mzvsums.indices import (
     AbcParams,
-    expected_family_size,
     index_family_I,
     index_family_J,
     shuffles,
-    total_multiplicity,
     validate_index,
 )
 
@@ -78,7 +76,7 @@ class TestShuffles:
     @given(short_index, short_index)
     def test_total_multiplicity_is_binomial(self, s1, s2):
         fam = shuffles(s1, s2)
-        assert total_multiplicity(fam) == comb(len(s1) + len(s2), len(s1))
+        assert sum(fam.values()) == comb(len(s1) + len(s2), len(s1))
 
     @given(short_index, short_index)
     def test_symmetric_in_arguments(self, s1, s2):
@@ -112,8 +110,7 @@ class TestFamilyI:
     @given(small_pq, small_pq)
     def test_total_multiplicity(self, p, q):
         fam = index_family_I(p, q, P312)
-        assert total_multiplicity(fam) == comb(2 * p + q, q)
-        assert total_multiplicity(fam) == expected_family_size(p, q)
+        assert sum(fam.values()) == comb(2 * p + q, q)
 
     @given(small_pq, small_pq)
     def test_distinct_letters_give_multiplicity_one(self, p, q):
@@ -149,8 +146,7 @@ class TestFamilyJ:
     @given(small_pq, small_pq)
     def test_total_multiplicity(self, p, q):
         fam = index_family_J(p, q, P312)
-        assert total_multiplicity(fam) == comb(2 * p + q + 1, q)
-        assert total_multiplicity(fam) == expected_family_size(p, q, with_prefix=True)
+        assert sum(fam.values()) == comb(2 * p + q + 1, q)
 
     @given(small_pq, small_pq)
     def test_word_lengths(self, p, q):

@@ -4,12 +4,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import Mat2, step_matrix, step_matrix_star
 
 from mzvsums import series
 from mzvsums.indices import AbcParams
 from mzvsums.series import (
     BivarPoly,
-    Mat2,
     UnivarPoly,
     check_star_factorization,
     check_symmetric_form,
@@ -20,8 +20,6 @@ from mzvsums.series import (
     iter_family_series,
     iter_family_series_star,
     star_factorization_sides,
-    step_matrix,
-    step_matrix_star,
     symmetric_form_sides,
     zeta_run_poly,
     zeta_star_run_poly,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import zeta_star_trunc_naive, zeta_trunc_naive
 
 from mzvsums.indices import AbcParams
 from mzvsums.zeta import (
@@ -20,9 +21,7 @@ from mzvsums.zeta import (
     verify_identity_s,
     verify_identity_t,
     zeta_star_trunc,
-    zeta_star_trunc_naive,
     zeta_trunc,
-    zeta_trunc_naive,
 )
 
 P312 = AbcParams(3, 1, 2)
@@ -317,6 +316,13 @@ class TestPowerLists:
             for k in self.WORDS:
                 assert stepped.zeta(k, m) == zeta_trunc_naive(k, m), (k, m)
                 assert stepped.zeta_star(k, m) == zeta_star_trunc_naive(k, m), (k, m)
+
+    def test_star_tables_build_no_power_list_for_their_tails(self):
+        # Only the strict recurrence rescales the tail's table, so a star fill of (2, 3) needs the
+        # weights 3 and 5 alone; the weight 0 of the empty tail under (3,) gets no list.
+        cache = ZetaCache()
+        cache.zeta_star((2, 3), 10)
+        assert sorted(cache._powers) == [3, 5]
 
     @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
     def test_load_refuses_a_damaged_last_entry(self, tmp_path, star):
