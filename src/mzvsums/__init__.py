@@ -45,6 +45,7 @@ from .indices import (
 )
 from .series import (
     BivarPoly,
+    GridSweep,
     SeriesIdentityReport,
     UnivarPoly,
     check_star_factorization,
@@ -78,6 +79,7 @@ __all__ = [
     "AbcParams",
     "BivarPoly",
     "ConvergenceRow",
+    "GridSweep",
     "HPoly",
     "IdentityReport",
     "PiCoefficient",

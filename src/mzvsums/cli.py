@@ -22,7 +22,9 @@ carry exact ``Fraction`` values until ``_emit_report`` writes them as
 ``numerator/denominator`` for JSON and CSV alike; ``eval`` prints its one
 value with the same ``_frac_str``.
 
-Every sweep runs its cases serially in the calling process.  An
+Every sweep runs its cases serially in the calling process.  A gen /
+symmetric sweep advances one ``series.GridSweep`` over its ascending
+cutoffs, so each level is computed once and each cutoff's check reads it.  An
 s/t-identity sweep shares one ``ZetaCache`` across its cases (loaded from
 ``--cache`` when given, saved back afterwards): they reuse each other's
 tables.  It and the homomorphism sweep compute each (p, q) or sample from
@@ -107,8 +109,8 @@ def _range_str(values: list[int]) -> str:
     return f"{values[0]}..{values[-1]}" if len(values) > 1 else str(values[0])
 
 
-def _series_case(check, params, bounds, m) -> dict:
-    rep = check(m, params, bounds)
+def _series_case(check, params, bounds, sweep, m) -> dict:
+    rep = check(m, params, bounds, sweep=sweep)
     return {"m": m, "equal": rep.equal, "mismatches": rep.mismatches}
 
 
@@ -169,7 +171,8 @@ def _run_verify(ns) -> tuple[dict, int]:
             raise UsageError("--bounds: bounds must be non-negative")
         report_params.update(m=_range_str(ms), bounds=f"{bx},{by}")
         check = series.check_star_factorization if kind == "gen" else series.check_symmetric_form
-        cases = _map_cases(_series_case, [(check, params, (bx, by), m) for m in ms])
+        sweep = series.GridSweep(params.as_tuple(), (bx, by))  # advanced once over the ascending cutoffs
+        cases = _map_cases(_series_case, [(check, params, (bx, by), sweep, m) for m in ms])
     elif kind in ("frs", "frt"):
         report_params.update(p=_range_str(ps), q=_range_str(qs))
         check = harmonic.verify_identity_s_symbolic if kind == "frs" else harmonic.verify_identity_t_symbolic

@@ -30,11 +30,16 @@ of words.  Three structures live here:
 On top of these, ``word_sum_s`` / ``word_sum_t`` lift the shuffle families
 to word sums, and the ``verify_*_symbolic`` functions check, purely
 symbolically, the same identities that :mod:`mzvsums.zeta` checks
-numerically.
+numerically.  Their two sides come from unrelated code: the left side, the
+star image of a family, from a block recursion over the family's two-state
+automaton (``_star_family``), without listing the family's words; the right
+side from the ``shuffles`` families, the star-expanded c-runs and the
+quasi-shuffle product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -257,15 +262,46 @@ class WordIdentityReport:
     equal: bool
 
 
-def _verify_word_identity(p: int, q: int, params: AbcParams, family) -> WordIdentityReport:
-    """Both sides of the (p, q) identity over ``family`` (I or J), in integers.
+def _star_family(params: AbcParams, state: int, x: int, y: int, memo: dict) -> dict[Word, int]:
+    """S of the family words with x more letters a/b, from ``state`` (0 expects a, 1 expects b), and y letters c.
 
-    The product is bilinear, so per group of ``identity_terms`` the weighted
-    run products S(c^r1) * S(c^r2), each built once per check, are summed
-    into one combination that multiplies the (i, j) family once.
+    A star image merges a word into blocks.  A block of dx letters a/b and dy
+    letters c, (dx, dy) != (0, 0), arises from comb(dx + dy, dx) interleavings;
+    its letter is the sum of the next dx alternating letters plus c * dy, and
+    an odd dx flips the state.  Results are memoised per (state, x, y).
+    """
+    if not x and not y:
+        return {(): 1}
+    key = (state, x, y)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    a, b, c = params.as_tuple()
+    heads = (a, b)
+    out: dict[Word, int] = {}
+    for dx in range(x + 1):
+        run = dx // 2 * (a + b) + (heads[state] if dx % 2 else 0)
+        for dy in range(0 if dx else 1, y + 1):
+            letter, weight = run + c * dy, math.comb(dx + dy, dx)
+            for w, v in _star_family(params, state ^ (dx % 2), x - dx, y - dy, memo).items():
+                word = (letter,) + w
+                out[word] = out.get(word, 0) + weight * v
+    memo[key] = out
+    return out
+
+
+def _verify_word_identity(p: int, q: int, params: AbcParams, family, state: int) -> WordIdentityReport:
+    """Both sides of the (p, q) identity over ``family`` (I or J, starting in ``state``), in integers.
+
+    The left side is the family's star image by the block recursion
+    ``_star_family``; the right side multiplies the ``shuffles`` families by
+    the star-expanded c-runs.  The product is bilinear, so per group of
+    ``identity_terms`` the weighted run products S(c^r1) * S(c^r2), each
+    built once per check, are summed into one combination that multiplies
+    the (i, j) family once.
     """
     star_memo, mul_memo, products, rhs = {}, {}, {}, {}
-    lhs = _star_terms(family(p, q, params), star_memo)
+    lhs = _star_family(params, state, 2 * p + state, q, {})
     runs = [_star_words((params.c,) * r, star_memo) for r in range(2 * p + q + 1)]
     for i, j, pairs in identity_terms(p, q):
         combo = {}
@@ -286,9 +322,9 @@ def verify_identity_s_symbolic(p: int, q: int, params: AbcParams) -> WordIdentit
     expansions of two c-runs.  Holding here (not just after evaluation) is
     strictly stronger than the numeric identity at any single cutoff.
     """
-    return _verify_word_identity(p, q, params, index_family_I)
+    return _verify_word_identity(p, q, params, index_family_I, 0)
 
 
 def verify_identity_t_symbolic(p: int, q: int, params: AbcParams) -> WordIdentityReport:
     """Check the t-family identity in the word algebra."""
-    return _verify_word_identity(p, q, params, index_family_J)
+    return _verify_word_identity(p, q, params, index_family_J, 1)

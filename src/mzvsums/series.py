@@ -15,18 +15,29 @@ Both steps are the recurrence ``H[i][j] += H[i][j-1]/l^c + H[i-1][j]/l^e``
 (e = a for even i, b for odd i).  Run in decreasing (i, j) it reads old
 coefficients and applies the plain step; run in increasing (i, j) it reads
 the new ones and so solves M_l v_l = v_(l-1), which is triangular in degree
-order.  The run series ``zeta_run_poly`` / ``zeta_star_run_poly`` (values of
-constant indices (c, ..., c)) are the x^0 row of such a grid with bound_x = 0.
+order.  Row 0 reads only its own left neighbour: it is the run series
+H(y) = prod (1 + y/l^c), or H*(y) for the star step, whose y^r coefficient
+is the value of the constant index (c, ..., c).  So row 0 runs to y-degree
+bound_x + bound_y, as the identity checks need, and ``zeta_run_poly`` /
+``zeta_star_run_poly`` are row 0 of a grid with bound_x = 0.
 
-The grid holds scaled numerators N[i][j] = H[i][j] L_m^w(i,j), L_m = lcm(1..m),
-w(i, j) = ceil(i/2) b + floor(i/2) a + c j: a prime-power level l first
-multiplies each cell by (L_l/L_(l-1))^w, then the recurrence multiplies by
-(L_l/l)^c and (L_l/l)^e.  One ``Fraction`` per coefficient is built only where
-a value leaves the module.  As a + b = 2c, every x^i y^j cell of F, F* and of
-a run factor h(+-x +- y) has weight c(i + j), so the identity checks compare
-integer grids over L_m^(c(i + j)) cell by cell.  The ``BivarPoly`` sides of
-both identities (``*_sides``) are kept as a reference, off the hot path; the
-literal step matrices live with the tests' oracles.
+One engine, ``_grids``, advances any set of plain and star grids of one
+letter triple.  They hold scaled numerators N[i][j] = H[i][j] L_m^w(i,j),
+L_m = lcm(1..m), w(i, j) = ceil(i/2) b + floor(i/2) a + c j.  Per level the
+engine takes one lcm step; at a prime-power level it computes
+r = L_l/L_(l-1) to the power w once per distinct cell weight and rescales
+every cell, then each grid runs its recurrence with the shared factors
+(L_l/l)^c and (L_l/l)^e.  One ``Fraction`` per coefficient is built only
+where a value leaves the module.  As a + b = 2c, every x^i y^j cell of F,
+F* and of a run factor h(+-x +- y) has weight c(i + j), so the identity
+checks compare integer grids over L_m^(c(i + j)) cell by cell.  F, F* and
+the product of each identity's two run factors are even in x, so the checks
+multiply and compare their even rows only, as grids in x^2.  A check reads
+F, F* and the run series off one plain and one star grid; given a
+``GridSweep``, a sweep over ascending cutoffs runs each level once.  The
+``BivarPoly`` sides of both identities (``*_sides``) are kept as a
+reference, off the hot path; the literal step matrices live with the tests'
+oracles.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from .indices import AbcParams, _check_pq
 
 __all__ = [
     "BivarPoly",
+    "GridSweep",
     "SeriesIdentityReport",
     "UnivarPoly",
     "check_star_factorization",
@@ -276,66 +288,102 @@ def _weight(exponents: tuple[int, int, int], i: int, j: int) -> int:
     return (i + 1) // 2 * exponents[1] + i // 2 * exponents[0] + j * exponents[2]
 
 
-def _grids(exponents: tuple[int, int, int], bounds: tuple[int, int], star: bool):
-    """Yield the scaled grid N and L_m at cutoffs m = 0, 1, 2, ..., N advanced in place."""
-    if min(bounds) < 0:
+def _grids(exponents: tuple[int, int, int], bounds: tuple[int, int], stars: tuple[bool, ...]):
+    """Yield (grids, L_m) at cutoffs m = 0, 1, 2, ...: one scaled grid per flag of ``stars``, advanced in place.
+
+    A flag picks the plain (False) or the star (True) recurrence; the grids
+    share each level's lcm step and powers.  Row 0 runs to y-degree bx + by,
+    the other rows to by.
+    """
+    bx, by = bounds
+    if bx < 0 or by < 0:
         raise ValueError("truncation bounds must be non-negative")
-    weights = [[_weight(exponents, i, j) for j in range(bounds[1] + 1)] for i in range(bounds[0] + 1)]
-    grid = [[int(i == j == 0) for j in range(bounds[1] + 1)] for i in range(bounds[0] + 1)]
-    order = 1 if star else -1
+    widths = [bx + by + 1] + [by + 1] * bx
+    weights = [[_weight(exponents, i, j) for j in range(n)] for i, n in enumerate(widths)]
+    distinct = {w for row in weights for w in row}
+    grids = tuple([[int(i == j == 0) for j in range(n)] for i, n in enumerate(widths)] for _ in stars)
     lcm = 1
     for l in itertools.count(1):
-        yield grid, lcm
+        yield grids, lcm
         r = math.lcm(lcm, l) // lcm
         lcm *= r
         if r > 1:  # l is a prime power: rescale every cell from L_(l-1) to L_l
-            for row, row_weights in zip(grid, weights):
-                row[:] = [v * r**w for v, w in zip(row, row_weights)]
+            power = {w: r**w for w in distinct}
+            for grid in grids:
+                for row, row_weights in zip(grid, weights):
+                    row[:] = [v * power[w] for v, w in zip(row, row_weights)]
         qa, qb, qc = ((lcm // l) ** e for e in exponents)
-        for i in range(len(grid))[::order]:
-            row, below, cross = grid[i], grid[i - 1], qb if i % 2 else qa
-            for j in range(len(row))[::order]:
-                if j:
-                    row[j] += row[j - 1] * qc
+        for grid, star in zip(grids, stars):
+            order = 1 if star else -1
+            for i in range(len(grid))[::order]:
+                row = grid[i]
                 if i:
-                    row[j] += below[j] * cross
+                    below, cross = grid[i - 1], qb if i % 2 else qa
+                    for j in range(len(row))[::order]:
+                        row[j] += (row[j - 1] * qc if j else 0) + below[j] * cross
+                else:
+                    for j in range(1, len(row))[::order]:
+                        row[j] += row[j - 1] * qc
 
 
-def _pair(scaled, params: AbcParams, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
-    """Split a scaled grid into (F, G), the even and the odd x-degree rows, as Fractions."""
-    grid, lcm = scaled
+class GridSweep:
+    """Scaled grids of one letter triple and box, advanced in place over ascending cutoffs.
+
+    ``at(m)`` returns (grids, L_m) at cutoff m, one grid per flag of
+    ``stars``; a later call may not ask for a lower cutoff.  The series checks
+    take one as ``sweep=``, so a sweep over cutoffs runs each level once.
+    """
+
+    def __init__(self, exponents: tuple[int, int, int], bounds: tuple[int, int], stars=(False, True)):
+        self.key = (tuple(exponents), tuple(bounds), tuple(stars))
+        self._levels = _grids(*self.key)
+        self._state = next(self._levels)
+        self.m = 0
+
+    def at(self, m: int):
+        if m < 0:
+            raise ValueError(f"cutoff m must be non-negative, got {m}")
+        if m < self.m:
+            raise ValueError(f"cutoffs must ascend: the sweep is at m={self.m}, asked for m={m}")
+        for _ in range(m - self.m):
+            self._state = next(self._levels)
+        self.m = m
+        return self._state
+
+
+def _pair(grid, lcm: int, params: AbcParams, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
+    """Split a scaled grid into (F, G), the even and the odd x-degree rows up to y-degree by, as Fractions."""
     coeffs = ({}, {})
     for i, row in enumerate(grid):
-        for j, v in enumerate(row):
+        for j, v in enumerate(row[: bounds[1] + 1]):
             coeffs[i % 2][i, j] = Fraction(v, lcm ** _weight(params.as_tuple(), i, j))
     return BivarPoly(coeffs[0], *bounds), BivarPoly(coeffs[1], *bounds)
 
 
 def _at(m: int, exponents: tuple[int, int, int], bounds: tuple[int, int], star: bool):
     """The scaled grid and L_m at cutoff m."""
-    if m < 0:
-        raise ValueError(f"cutoff m must be non-negative, got {m}")
-    return next(itertools.islice(_grids(exponents, bounds, star), m, None))
+    (grid,), lcm = GridSweep(exponents, bounds, (star,)).at(m)
+    return grid, lcm
 
 
 def iter_family_series(params: AbcParams, bounds: tuple[int, int]):
     """Yield the plain series pair (F, G) at cutoffs m = 0, 1, 2, ... indefinitely."""
-    return (_pair(scaled, params, bounds) for scaled in _grids(params.as_tuple(), bounds, False))
+    return (_pair(grid, lcm, params, bounds) for (grid,), lcm in _grids(params.as_tuple(), bounds, (False,)))
 
 
 def iter_family_series_star(params: AbcParams, bounds: tuple[int, int]):
     """Yield the star series pair (F*, G*) at cutoffs m = 0, 1, 2, ... indefinitely."""
-    return (_pair(scaled, params, bounds) for scaled in _grids(params.as_tuple(), bounds, True))
+    return (_pair(grid, lcm, params, bounds) for (grid,), lcm in _grids(params.as_tuple(), bounds, (True,)))
 
 
 def family_series(m: int, params: AbcParams, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
     """The cutoff-m series pair (F, G); exact polynomials when bounds cover degree m."""
-    return _pair(_at(m, params.as_tuple(), bounds, False), params, bounds)
+    return _pair(*_at(m, params.as_tuple(), bounds, False), params, bounds)
 
 
 def family_series_star(m: int, params: AbcParams, bounds: tuple[int, int]) -> tuple[BivarPoly, BivarPoly]:
     """The cutoff-m star series pair (F*, G*), truncated to ``bounds``."""
-    return _pair(_at(m, params.as_tuple(), bounds, True), params, bounds)
+    return _pair(*_at(m, params.as_tuple(), bounds, True), params, bounds)
 
 
 def _run_poly(m: int, c: int, bound: int, star: bool) -> UnivarPoly:
@@ -405,48 +453,76 @@ def symmetric_form_sides(
     return lhs, f.flip_y()
 
 
-def _f_rows(m: int, params: AbcParams, bounds: tuple[int, int], star: bool, sign_y: int):
-    """F(x, sign_y*y), or F* if star, at cutoff m: the scaled grid's even rows, odd rows zeroed."""
-    grid = _at(m, params.as_tuple(), bounds, star)[0]
-    return [[v * sign_y**j if i % 2 == 0 else 0 for j, v in enumerate(row)] for i, row in enumerate(grid)]
+def _f_rows(grid, by: int, sign_y: int):
+    """F(x, sign_y*y) from a scaled plain or star grid, as a grid in x^2: its even rows up to y-degree by."""
+    return [[v * sign_y**j for j, v in enumerate(row[: by + 1])] for row in grid[::2]]
 
 
-def _linear(h: list[int], alpha: int, beta: int, bx: int, by: int):
-    """The grid of h(alpha*x + beta*y), alpha and beta = +-1; h_r spreads over the cells i + j = r."""
-    return [[math.comb(i + j, i) * alpha**i * beta**j * h[i + j] for j in range(by + 1)] for i in range(bx + 1)]
+def _linear(h: list[int], alpha: int, bx: int, by: int):
+    """The grid of h(alpha*x + y), alpha = +-1; h_r spreads over the cells i + j = r."""
+    return [[math.comb(i + j, i) * alpha**i * h[i + j] for j in range(by + 1)] for i in range(bx + 1)]
 
 
-def _mul(p, q):
-    """Truncated product of two dense grids of one shape."""
+def _mul(p, q, step: int = 1):
+    """Rows 0, step, 2 step, ... of the truncated product of two dense grids of one shape."""
     nx, ny = len(p), len(p[0])
-    out = [[0] * ny for _ in range(nx)]
+    out = [[0] * ny for _ in range(0, nx, step)]
     for i1, j1 in itertools.product(range(nx), range(ny)):
         if v := p[i1][j1]:
-            for i2, j2 in itertools.product(range(nx - i1), range(ny - j1)):
-                out[i1 + i2][j1 + j2] += v * q[i2][j2]
+            for i2 in range(-i1 % step, nx - i1, step):
+                row, qrow = out[(i1 + i2) // step], q[i2]
+                for j2 in range(ny - j1):
+                    row[j1 + j2] += v * qrow[j2]
     return out
 
 
-def check_star_factorization(m: int, params: AbcParams, bounds: tuple[int, int]) -> SeriesIdentityReport:
-    """Verify the star-series factorization through the plain series at cutoff m."""
+def _times_runs(f, h: list[int], bx: int, by: int):
+    """f(x, y) h(y - x) h(y + x), with f and the result as grids in x^2 (their even rows).
+
+    Swapping x and -x swaps the two run factors, so their product is even in
+    x: only its even rows are built, and they multiply f in the variable x^2.
+    """
+    return _mul(f, _mul(_linear(h, -1, bx, by), _linear(h, 1, bx, by), 2))
+
+
+def _check_grids(m: int, params: AbcParams, bounds: tuple[int, int], sweep: GridSweep | None):
+    """The scaled plain and star grids at cutoff m, read from ``sweep`` when given."""
+    if sweep is None:
+        sweep = GridSweep(params.as_tuple(), bounds)
+    elif sweep.key != (params.as_tuple(), tuple(bounds), (False, True)):
+        raise ValueError("the sweep's letters or box differ from the check's")
+    return sweep.at(m)[0]
+
+
+def check_star_factorization(
+    m: int, params: AbcParams, bounds: tuple[int, int], sweep: GridSweep | None = None
+) -> SeriesIdentityReport:
+    """Verify the star-series factorization through the plain series at cutoff m.
+
+    H* is row 0 of the star grid.  With ``sweep``, the grids come from it.
+    """
     bx, by = bounds
-    f, fstar = _f_rows(m, params, bounds, False, -1), _f_rows(m, params, bounds, True, 1)
-    hstar = _at(m, (params.c,) * 3, (0, bx + by), True)[0][0]
-    rhs = _mul(_mul(f, _linear(hstar, -1, 1, bx, by)), _linear(hstar, 1, 1, bx, by))
+    plain, star = _check_grids(m, params, bounds, sweep)
+    f, fstar, hstar = _f_rows(plain, by, -1), _f_rows(star, by, 1), star[0]
+    rhs = _times_runs(f, hstar, bx, by)
     n_bad = sum(u != v for lrow, rrow in zip(fstar, rhs) for u, v in zip(lrow, rrow))
     return SeriesIdentityReport("star-factorization", params, m, bounds, n_bad == 0, n_bad)
 
 
-def check_symmetric_form(m: int, params: AbcParams, bounds: tuple[int, int]) -> SeriesIdentityReport:
+def check_symmetric_form(
+    m: int, params: AbcParams, bounds: tuple[int, int], sweep: GridSweep | None = None
+) -> SeriesIdentityReport:
     """Verify the division-free symmetric rearrangement at cutoff m.
 
     Also checks the run-series inverse relation H*(z) * H(-z) = 1 that the
-    rearrangement rests on.
+    rearrangement rests on, with H and H* rows 0 of the plain and the star
+    grid.  With ``sweep``, the grids come from it.
     """
     bx, by = bounds
-    f, fstar = _f_rows(m, params, bounds, False, -1), _f_rows(m, params, bounds, True, 1)
-    h, hstar = (_at(m, (params.c,) * 3, (0, bx + by), star)[0][0] for star in (False, True))
-    lhs = _mul(_mul(fstar, _linear(h, 1, -1, bx, by)), _linear(h, -1, -1, bx, by))
+    plain, star = _check_grids(m, params, bounds, sweep)
+    f, fstar, hstar = _f_rows(plain, by, -1), _f_rows(star, by, 1), star[0]
+    h_flip = [(-1) ** r * v for r, v in enumerate(plain[0])]  # H(-z): H(x - y) H(-x - y) = h_flip(y - x) h_flip(y + x)
+    lhs = _times_runs(fstar, h_flip, bx, by)
     n_bad = sum(u != v for lrow, rrow in zip(lhs, f) for u, v in zip(lrow, rrow))
-    n_bad += _mul([hstar], [[(-1) ** r * v for r, v in enumerate(h)]]) != [[1] + [0] * (bx + by)]
+    n_bad += _mul([hstar], [h_flip]) != [[1] + [0] * (bx + by)]
     return SeriesIdentityReport("symmetric-form", params, m, bounds, n_bad == 0, n_bad)

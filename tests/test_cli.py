@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvsums import cli, harmonic, zeta
+from mzvsums import cli, harmonic, series, zeta
 from mzvsums.indices import AbcParams
 
 
@@ -336,6 +336,31 @@ class TestSweepOrder:
                 rhs = harmonic.z_eval(u, m, zeta.ZetaCache()) * harmonic.z_eval(v, m, zeta.ZetaCache())
                 assert (case["u"], case["v"]) == (repr(u), repr(v))
                 assert (case["lhs"], case["rhs"], case["equal"]) == (cli._frac_str(lhs), cli._frac_str(rhs), True)
+
+    @pytest.mark.parametrize("abc", ["3,1,2", "5,3,4"])
+    @pytest.mark.parametrize("bounds", [(4, 4), (2, 6)])
+    @pytest.mark.parametrize("kind", ["gen", "symmetric"])
+    def test_series_sweep_matches_fresh_checks(self, capsys, monkeypatch, kind, bounds, abc):
+        # One star-grid cell is off by one at m = 9 alone, in the sweep and in each fresh
+        # check, so a sweep that compared a level at the wrong cutoff would differ.
+        original = series._grids
+
+        def grids(exponents, bounds_, stars):
+            for t, (grids_, lcm) in enumerate(original(exponents, bounds_, stars)):
+                if t == 9:
+                    grids_ = tuple([row[:] for row in grid] for grid in grids_)
+                    grids_[stars.index(True)][2][1] += 1
+                yield grids_, lcm
+
+        monkeypatch.setattr(series, "_grids", grids)
+        code, out, _ = run(["verify", kind, "--abc", abc, "--m", "0..40", "--bounds", "%d,%d" % bounds], capsys)
+        assert code == 1
+        cases = parse_json(out)["cases"]
+        params = AbcParams(*map(int, abc.split(",")))
+        check = series.check_star_factorization if kind == "gen" else series.check_symmetric_form
+        fresh = [check(m, params, bounds) for m in range(41)]
+        assert cases == [{"m": m, "equal": rep.equal, "mismatches": rep.mismatches} for m, rep in enumerate(fresh)]
+        assert [m for m, rep in enumerate(fresh) if not rep.equal] == [9]
 
     @pytest.mark.parametrize("kind, family", [("s-identity", "index_family_I"), ("t-identity", "index_family_J")])
     def test_each_table_and_family_is_built_once_per_sweep(self, capsys, monkeypatch, kind, family):

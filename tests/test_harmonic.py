@@ -330,3 +330,43 @@ class TestGroupedSymbolicCheck:
         for check in (verify_identity_s_symbolic, verify_identity_t_symbolic):
             rep = check(3, 3, params)
             assert rep.equal and rep.lhs_terms == rep.rhs_terms > 0
+
+
+valid_letters = st.integers(min_value=2, max_value=6).flatmap(
+    lambda c: st.integers(min_value=2, max_value=2 * c - 1).map(lambda a: AbcParams(a, 2 * c - a, c))
+)
+
+
+class TestStarFamily:
+    """The block recursion for the star image of a family against the word-by-word star expansion."""
+
+    @pytest.mark.parametrize("params", ACCEPTANCE_TRIPLES + [AbcParams(6, 2, 4)], ids=_abc_id)
+    def test_matches_the_star_expansion_of_the_shuffles(self, params):
+        memo = {}
+        for p in range(5):
+            for q in range(5 - p):
+                assert harmonic._star_family(params, 0, 2 * p, q, {}) == harmonic._star_terms(
+                    index_family_I(p, q, params), memo), ("I", p, q)
+                assert harmonic._star_family(params, 1, 2 * p + 1, q, {}) == harmonic._star_terms(
+                    index_family_J(p, q, params), memo), ("J", p, q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=valid_letters, p=st.integers(min_value=0, max_value=2), q=st.integers(min_value=0, max_value=3))
+    def test_matches_on_any_valid_letters(self, params, p, q):
+        assert harmonic._star_family(params, 0, 2 * p, q, {}) == star_expand(word_sum_s(p, q, params)).terms
+        assert harmonic._star_family(params, 1, 2 * p + 1, q, {}) == star_expand(word_sum_t(p, q, params)).terms
+
+    def test_memo_holds_one_result_per_state_and_budgets(self):
+        # J(2, 1): the a/b budget left fixes the state, so eleven (state, x, y) entries.
+        memo = {}
+        harmonic._star_family(P312, 1, 5, 1, memo)
+        assert sorted(memo) == sorted((x % 2, x, y) for x in range(6) for y in range(2) if x or y)
+
+    def test_blocks_by_hand(self):
+        # I(1, 1) on (3, 1, 2): the words 3 1 2, 3 2 1, 2 3 1 and their merges.
+        assert harmonic._star_family(P312, 0, 2, 1, {}) == {
+            (3, 1, 2): 1, (3, 2, 1): 1, (2, 3, 1): 1,
+            (4, 2): 1, (3, 3): 2, (5, 1): 2, (2, 4): 1, (6,): 3,
+        }
+        # J(0, 1): the words 1 2 and 2 1, and the merge 3 twice.
+        assert harmonic._star_family(P312, 1, 1, 1, {}) == {(1, 2): 1, (2, 1): 1, (3,): 2}

@@ -10,6 +10,7 @@ from mzvsums import series
 from mzvsums.indices import AbcParams
 from mzvsums.series import (
     BivarPoly,
+    GridSweep,
     UnivarPoly,
     check_star_factorization,
     check_symmetric_form,
@@ -312,6 +313,49 @@ class TestGridKernelsAgainstOracle:
                 assert next(its) == star, (bx, by, m)
 
 
+class TestGridSweep:
+    """One engine advances a check's plain and star grids together over ascending cutoffs."""
+
+    @pytest.mark.parametrize("params", [P312, AbcParams(5, 3, 4)])
+    @pytest.mark.parametrize("bounds", [(4, 4), (2, 6)])
+    def test_each_level_equals_a_fresh_sweep(self, params, bounds):
+        sweep = GridSweep(params.as_tuple(), bounds)
+        for m in range(41):
+            assert sweep.at(m) == GridSweep(params.as_tuple(), bounds).at(m), m
+
+    @pytest.mark.parametrize("star", [False, True])
+    def test_row_zero_is_the_run_series_and_the_other_rows_are_the_family_series(self, star):
+        bx, by = 3, 2
+        run_poly = zeta_star_run_poly if star else zeta_run_poly
+        pair = family_series_star if star else family_series
+        for m in range(12):
+            (grid,), lcm = GridSweep(P312.as_tuple(), (bx, by), (star,)).at(m)
+            assert [F(v, lcm ** (2 * r)) for r, v in enumerate(grid[0])] == [
+                run_poly(m, 2, bx + by).coeff(r) for r in range(bx + by + 1)]
+            assert [len(row) for row in grid] == [bx + by + 1] + [by + 1] * bx
+            f, g = pair(m, P312, (bx, by))
+            for i, row in enumerate(grid):
+                assert [F(v, lcm ** series._weight(P312.as_tuple(), i, j)) for j, v in enumerate(row[: by + 1])] == [
+                    (g if i % 2 else f).coeff(i, j) for j in range(by + 1)]
+
+    def test_refuses_a_lower_or_negative_cutoff(self):
+        sweep = GridSweep(P312.as_tuple(), (2, 2))
+        sweep.at(5)
+        assert sweep.at(5)[1] == 60
+        with pytest.raises(ValueError, match="cutoffs must ascend"):
+            sweep.at(4)
+        with pytest.raises(ValueError, match="cutoff m must be non-negative"):
+            GridSweep(P312.as_tuple(), (2, 2)).at(-1)
+
+    @pytest.mark.parametrize("check", [check_star_factorization, check_symmetric_form])
+    def test_checks_refuse_a_sweep_of_other_letters_or_box(self, check):
+        for sweep in (GridSweep((4, 2, 3), (4, 4)), GridSweep(P312.as_tuple(), (4, 3)),
+                      GridSweep(P312.as_tuple(), (4, 4), (True, False))):
+            with pytest.raises(ValueError, match="letters or box"):
+                check(3, P312, (4, 4), sweep=sweep)
+        assert check(3, P312, (4, 4), sweep=GridSweep(P312.as_tuple(), (4, 4))).equal
+
+
 def literal_mismatches(kind: str, m: int, params: AbcParams, bounds) -> int:
     """The mismatch count of a series check, read off the public literal BivarPoly sides."""
     bx, by = bounds
@@ -344,23 +388,32 @@ class TestChecksAgainstLiteralSides:
                 assert rep.equal == (rep.mismatches == 0)
 
     @staticmethod
-    def perturb(monkeypatch, target, cell, m):
-        """Make ``series._grids`` add 1 to one cell of the grid with key ``target`` at cutoff m."""
-        original = series._grids
+    def perturb(monkeypatch, star, cell, m):
+        """Make ``series._grids`` add 1 to one cell of its plain or star grids at cutoff m.
 
-        def grids(exponents, bounds, star):
-            for t, (grid, lcm) in enumerate(original(exponents, bounds, star)):
-                if t == m and (exponents, bounds, star) == target:
-                    grid = [row[:] for row in grid]
-                    grid[cell[0]][cell[1]] += 1
-                yield grid, lcm
+        Row 0 is the run series of the letter c, so a row-0 cell is perturbed in
+        every grid of that c that holds it, the run polynomials' grids included;
+        a cell of a higher row only in the grids of P312.
+        """
+        original = series._grids
+        i, j = cell
+
+        def grids(exps, bounds, stars):
+            hit = exps == P312.as_tuple() or (i == 0 and exps[2] == P312.c)
+            for t, (grids_, lcm) in enumerate(original(exps, bounds, stars)):
+                if t == m and hit:
+                    grids_ = tuple([row[:] for row in grid] for grid in grids_)
+                    for grid, s in zip(grids_, stars):
+                        if s == star and i < len(grid) and j < len(grid[i]):
+                            grid[i][j] += 1
+                yield grids_, lcm
 
         monkeypatch.setattr(series, "_grids", grids)
 
     @pytest.mark.parametrize("check", CHECKS)
     @pytest.mark.parametrize("cell", [(0, 0), (0, 3), (2, 1), (4, 4)])
     def test_a_cell_off_by_one_in_the_star_grid_is_flagged(self, monkeypatch, check, cell):
-        self.perturb(monkeypatch, (P312.as_tuple(), (4, 4), True), cell, 9)
+        self.perturb(monkeypatch, True, cell, 9)
         rep = check(9, P312, (4, 4))
         assert rep.equal is False
         assert rep.mismatches == literal_mismatches(rep.kind, 9, P312, (4, 4)) > 0
@@ -369,7 +422,7 @@ class TestChecksAgainstLiteralSides:
     @pytest.mark.parametrize("star", [False, True])
     @pytest.mark.parametrize("r", [0, 1, 5, 8])
     def test_a_run_series_coefficient_off_by_one_is_flagged(self, monkeypatch, star, r):
-        self.perturb(monkeypatch, ((2, 2, 2), (0, 8), star), (0, r), 9)
+        self.perturb(monkeypatch, star, (0, r), 9)
         rep = check_symmetric_form(9, P312, (4, 4))
         assert rep.equal is False
         assert rep.mismatches == literal_mismatches(rep.kind, 9, P312, (4, 4)) > 0
