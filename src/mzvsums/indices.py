@@ -76,12 +76,9 @@ def shuffles(s1, s2) -> IndexMultiset:
     n1, n2 = len(s1), len(s2)
     out: IndexMultiset = {}
     for positions in itertools.combinations(range(n1 + n2), n1):
-        merged = [0] * (n1 + n2)
-        taken = set(positions)
-        it1 = iter(s1)
-        it2 = iter(s2)
-        for i in range(n1 + n2):
-            merged[i] = next(it1) if i in taken else next(it2)
+        merged = list(s2)
+        for pos, letter in zip(positions, s1):  # ascending, so each insert lands at its final place
+            merged.insert(pos, letter)
         word = tuple(merged)
         out[word] = out.get(word, 0) + 1
     return out

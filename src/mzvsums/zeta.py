@@ -21,7 +21,8 @@ prime power) the recurrences become integer updates:
     N_t(k) = N_{t-1}(k) * r**w + (L_t // t)**k_1 * N_{t-1}(k_2..k_n) * r**(w - k_1)
     N*_t(k) = N*_{t-1}(k) * r**w + (L_t // t)**k_1 * N*_t(k_2..k_n)
 
-The factors r**w come from one list per weight w, kept by the cache.  A
+The factors r**w come from one list per weight w, kept by the cache.  As
+zeta_t(k) = 0 for t < len(k), a strict table is born holding those zeros.  A
 ``Fraction`` is built only where a value leaves the module.  The tests check
 the tables against a separately coded brute-force enumerator over monotone
 tuples, on small inputs.
@@ -85,7 +86,12 @@ class ZetaCache:
     after m = 800 costs a lookup.  Beside the lcm list the cache keeps the
     ratios r_t = L_t // L_(t-1) and two kinds of factor lists, each extended
     only when a cutoff outgrows it: per first letter k0, (L_t // t)**k0, and
-    per weight w, r_t**w.  So ``_extend`` computes no power per entry.
+    per weight w, r_t**w.  So ``_extend`` computes no power per entry, and
+    reads each list once per table.  A new strict table of a word of length n
+    is born as n zeros, a new star table as [0]; ``len(table) - 1`` is the
+    filled cutoff.  A fill walks from the word through its suffixes, longest
+    first, to the first table filled past the cutoff, then extends the tables
+    it passed, shortest first.
 
     Family sums go through a memo: each (family, i, j, params) is enumerated
     once per cache, and each (family, i, j, params, star) keeps its members
@@ -95,7 +101,8 @@ class ZetaCache:
     top cutoff thus extends each table once.
 
     ``save`` writes ``(_CACHE_FORMAT, strict tables, star tables)``
-    atomically; ``load`` checks the tag, the types, that each table has the
+    atomically; ``load`` checks the tag, the types, that a strict table's
+    entries below its word's length are 0, that each longer table has the
     table it recurs on, and each table's last entry against its recurrence,
     and raises ``ValueError`` (or ``pickle.UnpicklingError``) on any failure.
     That refuses caches of older versions and most damage, but the other
@@ -126,24 +133,31 @@ class ZetaCache:
         """The zeta (or zeta-star) value of k at cutoff m, times lcm(1..m)**weight(k)."""
         if m < 0:  # a negative cutoff would read table[m] from the end
             raise ValueError(f"cutoff m must be non-negative, got {m}")
+        tab = (self._star if star else self._strict).get(k)
+        if tab is None or len(tab) <= m:
+            self.lcm(m)
+            tab = self._fill(k, m, star)
+        return tab[m]
+
+    def _fill(self, k: Index, m: int, star: bool) -> list[int]:
+        """k's table filled to m or past (lcm lists must reach m); a loop: k may outgrow the recursion limit."""
         tables = self._star if star else self._strict
-        tab = tables.get(k)
-        if tab is not None and len(tab) > m:
-            return tab[m]
-        self.lcm(m)
-        sub = None
-        for start in range(len(k), -1, -1):  # shortest suffix first
+        passed = []
+        for start in range(len(k)):
             suf = k[start:]
             tab = tables.get(suf)
-            if tab is None:
-                tab = tables[suf] = [0] if suf else [1]
-            if len(tab) <= m:
-                if suf:
-                    self._extend(tab, sub, suf, m, star)
-                else:
-                    tab.extend([1] * (m + 1 - len(tab)))
-            sub = tab
-        return tab[m]
+            if tab is None:  # star values are non-zero from t = 1
+                tab = tables[suf] = [0] if star else [0] * len(suf)
+            if len(tab) > m:
+                break
+            passed.append((suf, tab))
+        else:
+            tab = tables.setdefault((), [1])
+            tab += [1] * (m + 1 - len(tab))
+        for suf, longer in reversed(passed):  # shortest first: each recurs on the table filled before it
+            self._extend(longer, tab, suf, m, star)
+            tab = longer
+        return tab
 
     def members(self, family, i: int, j: int, params: AbcParams) -> IndexMultiset:
         """``family(i, j, params)`` (``index_family_I`` or ``_J``), enumerated once per cache."""
@@ -164,11 +178,9 @@ class ZetaCache:
         key = (family, i, j, params, star)
         memo = self._families.get(key)
         if memo is None or memo[0] < m:
-            members = self.members(family, i, j, params)
-            for k in members:
-                self.scaled(k, m, star)
-            tables = self._star if star else self._strict
-            memo = self._families[key] = (m, [(mult, tables[k]) for k, mult in members.items()])
+            self.lcm(m)
+            members = self.members(family, i, j, params).items()
+            memo = self._families[key] = (m, [(mult, self._fill(k, m, star)) for k, mult in members])
         return sum(mult * tab[m] for mult, tab in memo[1])
 
     def lcm(self, m: int) -> int:
@@ -185,24 +197,32 @@ class ZetaCache:
     def _extend(self, tab: list[int], sub: list[int], suf: Index, m: int, star: bool) -> None:
         """Append the entries of ``suf``'s table up to cutoff m; ``sub`` is the table of suf[1:]."""
         ratios = self._ratios
-        k0 = suf[0]
-        steps = self._steps.setdefault(k0, [0])
-        for t in range(len(steps), m + 1):
-            steps.append((self._lcms[t] // t) ** k0)
-        w = sum(suf)
-        powers = self._powers
-        for v in (w,) if star else (w, w - k0):  # strict rescales suf[1:] at cutoff t-1, of weight w - k0
-            pv = powers.setdefault(v, [])
-            if len(pv) <= m:
-                pv.extend([r**v for r in ratios[len(pv):]])
-        pw, ps = powers[w], None if star else powers[w - k0]
+        k0, w = suf[0], sum(suf)
+        steps = self._steps.get(k0)
+        if steps is None or len(steps) <= m:
+            steps = self._steps.setdefault(k0, [0])
+            steps += [(self._lcms[t] // t) ** k0 for t in range(len(steps), m + 1)]
+        pw = self._powers.get(w)
+        if pw is None or len(pw) <= m:
+            pw = self._powers.setdefault(w, [])
+            pw += [r**w for r in ratios[len(pw):]]
         n = tab[-1]
+        if star:
+            for t in range(len(tab), m + 1):
+                if ratios[t] != 1:  # t is a prime power: bring the cutoff t-1 numerator to L_t
+                    n *= pw[t]
+                n += steps[t] * sub[t]
+                tab.append(n)
+            return
+        ps = self._powers.get(w - k0)  # the strict loop rescales suf[1:] at cutoff t-1, of weight w - k0
+        if ps is None or len(ps) <= m:
+            ps = self._powers.setdefault(w - k0, [])
+            ps += [r ** (w - k0) for r in ratios[len(ps):]]
         for t in range(len(tab), m + 1):
-            s = sub[t] if star else sub[t - 1]
-            if ratios[t] != 1:  # t is a prime power: bring the cutoff t-1 numerators to L_t
+            s = sub[t - 1]
+            if ratios[t] != 1:
                 n *= pw[t]
-                if not star:
-                    s *= ps[t]
+                s *= ps[t]
             n += steps[t] * s
             tab.append(n)
 
@@ -237,13 +257,16 @@ class ZetaCache:
                     if any(v != 1 for v in tab):
                         raise ValueError("the table of the empty index is not all ones")
                     continue
+                zeros = 1 if is_star else len(suf)  # the fill trusts these entries to be 0
+                if any(tab[:zeros]):
+                    raise ValueError(f"the table of {suf} has a non-zero entry below cutoff {zeros}")
+                if len(tab) <= zeros:
+                    continue
                 sub = tables.get(suf[1:])
                 if sub is None or len(sub) < len(tab):
                     raise ValueError(f"the table of {suf} has no table of {suf[1:]} to recur on")
-                probe = [0]  # the value at cutoff 0
-                if len(tab) > 1:
-                    probe = tab[:-1]
-                    cache._extend(probe, sub, suf, len(tab) - 1, is_star)
+                probe = tab[:-1]
+                cache._extend(probe, sub, suf, len(tab) - 1, is_star)
                 if probe[-1] != tab[-1]:
                     raise ValueError(f"the table of {suf} fails its recurrence at cutoff {len(tab) - 1}")
         return cache

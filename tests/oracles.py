@@ -11,7 +11,10 @@ Each was once part of the package and is kept here unchanged:
   ``mzvsums.series`` fold to the same series;
 * brute-force enumerators over monotone tuples (``zeta_trunc_naive`` /
   ``zeta_star_trunc_naive``), against which the DP tables of
-  ``mzvsums.zeta`` are checked on small inputs.
+  ``mzvsums.zeta`` are checked on small inputs;
+* the shuffle product by its first-letter recursion (``shuffles_naive``),
+  against which the positional enumeration of ``mzvsums.indices.shuffles``
+  is checked.
 """
 
 from __future__ import annotations
@@ -147,3 +150,15 @@ def zeta_star_trunc_naive(k, m: int) -> Fraction:
             term *= Fraction(1, mi**ki)
         total += term
     return total
+
+
+def shuffles_naive(s1, s2) -> dict[tuple[int, ...], int]:
+    """sh(s1, s2) = s1[0]·sh(s1[1:], s2) + s2[0]·sh(s1, s2[1:]), counted per interleaving pattern."""
+    s1, s2 = tuple(s1), tuple(s2)
+    if not s1 or not s2:
+        return {s1 + s2: 1}
+    out: dict[tuple[int, ...], int] = {}
+    for head, rest in ((s1[0], shuffles_naive(s1[1:], s2)), (s2[0], shuffles_naive(s1, s2[1:]))):
+        for word, mult in rest.items():
+            out[(head,) + word] = out.get((head,) + word, 0) + mult
+    return out

@@ -250,6 +250,19 @@ class TestVerifyCommand:
         path.write_bytes(pickle.dumps((tag, strict, star)))
         self._assert_cache_rejected(path, capsys)
 
+    def test_cache_with_a_non_zero_strict_prefix_entry_exits_two(self, capsys, tmp_path):
+        # The fill trusts a strict table's entries below its word length to be 0; the last entry stays right.
+        import pickle
+
+        path = tmp_path / "tables.pkl"
+        code, _, _ = run(["verify", "s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..8",
+                          "--cache", str(path)], capsys)
+        assert code == 0
+        tag, strict, star = pickle.loads(path.read_bytes())
+        strict[(3, 1, 2)][2] = 1
+        path.write_bytes(pickle.dumps((tag, strict, star)))
+        self._assert_cache_rejected(path, capsys)
+
     def test_cache_with_another_format_tag_exits_two(self, capsys, tmp_path):
         import pickle
 

@@ -1,9 +1,11 @@
 """Index families: shuffle enumeration, multiplicities, parameter validation."""
 
+import itertools
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import shuffles_naive
 
 from mzvsums.indices import (
     AbcParams,
@@ -72,6 +74,25 @@ class TestShuffles:
 
     def test_identical_letters_carry_multiplicity(self):
         assert shuffles((2,), (2,)) == {(2, 2): 2}
+
+    def test_matches_the_first_letter_recursion_for_every_pair_of_short_words(self):
+        # Letters {1, 2, 3} collide in most pairs, so multiplicities above one are common.
+        words = [w for n in range(5) for w in itertools.product((1, 2, 3), repeat=n)]
+        for s1 in words:
+            for s2 in words:
+                assert shuffles(s1, s2) == shuffles_naive(s1, s2), (s1, s2)
+
+    @pytest.mark.parametrize("params", [P312, AbcParams(2, 2, 2), AbcParams(4, 2, 3)])
+    def test_families_match_the_first_letter_recursion(self, params):
+        a, b, c = params.as_tuple()
+        for p in range(4):
+            for q in range(4):
+                assert index_family_I(p, q, params) == shuffles_naive((a, b) * p, (c,) * q), (p, q)
+                assert index_family_J(p, q, params) == shuffles_naive((b,) + (a, b) * p, (c,) * q), (p, q)
+
+    def test_words_come_in_the_order_of_the_position_combinations(self):
+        # s1's letters at positions (0, 1), (0, 2), (1, 2) in turn.
+        assert list(shuffles((1, 2), (3,))) == [(1, 2, 3), (1, 3, 2), (3, 1, 2)]
 
     @given(short_index, short_index)
     def test_total_multiplicity_is_binomial(self, s1, s2):

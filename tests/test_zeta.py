@@ -336,6 +336,124 @@ class TestPowerLists:
             ZetaCache.load(path)
 
 
+FILL_WORDS = [k for n in range(5) for k in itertools.product((1, 2, 3), repeat=n)]
+FILL_CUTOFFS = range(9)
+
+
+def _fill_orders():
+    """Request orders for one cache: (word, cutoff, star) triples, every one of them in each order."""
+    longest = sorted(FILL_WORDS, key=len, reverse=True)
+    shortest = sorted(FILL_WORDS, key=len)
+    kinds = (False, True)
+    return {
+        "longest-word-first-ascending": [(k, m, s) for k in longest for m in FILL_CUTOFFS for s in kinds],
+        "shortest-word-first-descending": [(k, m, s) for k in shortest for m in reversed(FILL_CUTOFFS) for s in kinds],
+        "cutoffs-descending": [(k, m, s) for m in reversed(FILL_CUTOFFS) for s in kinds for k in longest],
+        "cutoffs-ascending-interleaved": [
+            (k, m, s ^ ((i + m) % 2 == 0)) for m in FILL_CUTOFFS for i, k in enumerate(shortest) for s in kinds
+        ],
+    }
+
+
+@pytest.fixture(scope="module")
+def naive_fill_values():
+    return {
+        (k, m, star): (zeta_star_trunc_naive if star else zeta_trunc_naive)(k, m)
+        for k in FILL_WORDS
+        for m in FILL_CUTOFFS
+        for star in (False, True)
+    }
+
+
+def _parent_layout_tables(words, m, star):
+    """Every suffix of every word filled to m from the oracles, as the fill before zero prefixes left them."""
+    naive = zeta_star_trunc_naive if star else zeta_trunc_naive
+    suffixes = {k[i:] for k in words for i in range(len(k) + 1)}
+    return {suf: [int(naive(suf, t) * math.lcm(*range(1, t + 1)) ** sum(suf)) for t in range(m + 1)] for suf in suffixes}
+
+
+class TestFill:
+    """A fill walks from the nearest suffix filled past the cutoff; strict tables are born with their zeros."""
+
+    @pytest.mark.parametrize("order", list(_fill_orders()))
+    def test_every_request_order_matches_the_naive_oracles(self, order, naive_fill_values):
+        cache = ZetaCache()
+        for k, m, star in _fill_orders()[order]:
+            got = cache.zeta_star(k, m) if star else cache.zeta(k, m)
+            assert got == naive_fill_values[k, m, star], (k, m, star)
+        fresh = ZetaCache()
+        for k in FILL_WORDS:
+            fresh.scaled(k, 8, False)
+            fresh.scaled(k, 8, True)
+        assert cache._strict == fresh._strict and cache._star == fresh._star
+
+    def test_strict_table_below_its_length_is_zero_and_extends_like_a_fresh_fill(self):
+        cache = ZetaCache()
+        k = (2, 3, 1, 2, 2)
+        for m in range(len(k)):  # no strictly decreasing 5-tuple fits under m < 5
+            assert cache.scaled(k, m, False) == 0
+        assert cache._strict == {k: [0] * 5}  # born with its zero prefix; no suffix was read
+        for m in (5, 6, 12):
+            assert cache.zeta(k, m) == zeta_trunc_naive(k, m), m
+            fresh = ZetaCache()
+            fresh.scaled(k, m, False)
+            assert cache._strict[k] == fresh._strict[k], m
+
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    def test_parent_of_a_suffix_filled_one_cutoff_short(self, star):
+        naive = zeta_star_trunc_naive if star else zeta_trunc_naive
+        for m in (1, 2, 3, 4, 9):
+            cache = ZetaCache()
+            cache.scaled((2, 3), m - 1, star)
+            assert cache.scaled((1, 2, 3), m, star) == naive((1, 2, 3), m) * cache.lcm(m) ** 6, m
+            assert cache.scaled((2, 3), m, star) == naive((2, 3), m) * cache.lcm(m) ** 5, m
+
+    def test_fill_deeper_than_the_recursion_limit(self):
+        import sys
+
+        k = (1,) * (sys.getrecursionlimit() + 10)
+        assert ZetaCache().scaled(k, 3, False) == 0
+        assert ZetaCache().scaled(k, 1, True) == 1
+
+    def test_load_refuses_a_non_zero_entry_in_a_strict_prefix(self, tmp_path):
+        cache = ZetaCache()
+        cache.scaled((3, 1, 2), 9, False)
+        path = tmp_path / "tables.pkl"
+        cache._strict[(3, 1, 2)][1] = 7  # cutoff 1, below the length 3; the last entry stays right
+        cache.save(path)
+        with pytest.raises(ValueError, match=r"the table of \(3, 1, 2\) has a non-zero entry below cutoff 3"):
+            ZetaCache.load(path)
+
+    def test_load_accepts_tables_born_with_their_prefix_and_no_suffix_tables(self, tmp_path):
+        cache = ZetaCache()
+        cache.scaled((2, 2, 2, 2, 2), 3, False)
+        cache.scaled((2, 2), 0, True)
+        assert cache._strict == {(2, 2, 2, 2, 2): [0] * 5} and cache._star == {(2, 2): [0]}
+        path = tmp_path / "tables.pkl"
+        cache.save(path)
+        loaded = ZetaCache.load(path)
+        assert loaded.zeta((2, 2, 2, 2, 2), 7) == zeta_trunc_naive((2, 2, 2, 2, 2), 7)
+        assert loaded.zeta_star((2, 2), 7) == zeta_star_trunc_naive((2, 2), 7)
+
+    def test_load_accepts_the_tables_of_a_fill_without_zero_prefixes(self, tmp_path):
+        # Before tables were born with their zeros, every suffix was filled from [0]: a strict table could be
+        # shorter than its word, and the zeros below the word's length were computed.
+        import pickle
+
+        from mzvsums.zeta import _CACHE_FORMAT
+
+        words = [(3, 1, 2, 1), (2, 1, 3), (1, 1)]
+        path = tmp_path / "tables.pkl"
+        for m in (0, 2, 5):
+            strict, star = _parent_layout_tables(words, m, False), _parent_layout_tables(words, m, True)
+            path.write_bytes(pickle.dumps((_CACHE_FORMAT, strict, star)))
+            loaded = ZetaCache.load(path)
+            for k in words:
+                for t in (m, m + 1, 9):
+                    assert loaded.zeta(k, t) == zeta_trunc_naive(k, t), (k, m, t)
+                    assert loaded.zeta_star(k, t) == zeta_star_trunc_naive(k, t), (k, m, t)
+
+
 class TestFamilyMemo:
     """A cache keeps each family's member tables; a later, larger cutoff refills them."""
 
