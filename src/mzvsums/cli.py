@@ -15,6 +15,11 @@ memory.  Diagnostics go to stderr, one ``error:`` line per failure, also for
 what argparse itself rejects (an unknown kind, a flag without its value);
 reports go to stdout.
 
+A call pays little around its check.  ``main`` parses with the sub-parser its
+command word names (``_build_parser().commands``); only an empty argv, ``-h``
+and a non-command word reach the top-level parser.  ``_emit_report`` writes
+flat dicts with the C encoder, which ``json.dumps(indent=2)`` never uses.
+
 Text crosses the boundary in two places each way.  Argument text becomes
 values in ``_parse_ints`` (comma lists: ``--abc``, ``--bounds``,
 ``--index``, converge's ``--m``) and ``_parse_range`` (``lo..hi``).  Cases
@@ -233,12 +238,26 @@ def _save_cache(path, cache) -> None:
             raise UsageError(f"--cache: cannot write {path}: {type(exc).__name__}: {exc}") from None
 
 
+# Line break and indentation as item separator: the C encoder writes a flat dict one item per line.
+_FLAT_JSON = {pad: json.JSONEncoder(separators=(",\n" + pad, ": ")).encode for pad in ("    ", "      ")}
+
+
+def _flat_json(d: dict, pad: str) -> str:
+    """``json.dumps(d, indent=2)`` of a dict of scalars whose items sit at indentation ``pad``."""
+    return f"{{\n{pad}{_FLAT_JSON[pad](d)[1:-1]}\n{pad[2:]}}}" if d else "{}"
+
+
 def _emit_report(report: dict, fmt: str, out) -> None:
     """Write the report; every rational in a case becomes ``numerator/denominator`` text here."""
-    cases = [{key: _frac_str(value) if isinstance(value, Fraction) else value for key, value in case.items()}
+    cases = [{key: _frac_str(value) if type(value) is Fraction else value for key, value in case.items()}
              for case in report["cases"]]
-    if fmt == "json":
-        out.write(json.dumps({**report, "cases": cases}, indent=2) + "\n")  # one write, not json.dump's many
+    if fmt == "json":  # json.dumps(report, indent=2) + "\n", byte for byte, in one write
+        case_list = ",\n    ".join(_flat_json(case, "      ") for case in cases)
+        nested = {"params": _flat_json(report["params"], "    "),
+                  "cases": f"[\n    {case_list}\n  ]" if cases else "[]"}
+        items = ",\n  ".join(f"{json.dumps(key)}: {nested.get(key) or json.dumps(value)}"
+                             for key, value in report.items())
+        out.write(f"{{\n  {items}\n}}\n")
     else:
         writer = csv.DictWriter(out, fieldnames=list(cases[0]) if cases else ["equal"])
         writer.writeheader()
@@ -331,13 +350,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--m", required=True, help="strictly increasing cutoffs 'm1,m2,...'")
     p_conv.add_argument("--abc", default="3,1,2")
 
+    parser.commands = {"verify": p_verify, "eval": p_eval, "converge": p_conv}
     return parser
 
 
 def main(argv=None) -> int:
     out = sys.stdout
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        command = parser.commands.get(argv[0]) if argv else None  # None: no argv, --help, or not a command
+        ns = (parser.parse_args(argv) if command is None  # else skip the top-level hop to the same sub-parser
+              else command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
         if ns.command == "verify":
             report, code = _run_verify(ns)
             _emit_report(report, ns.format, out)

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzvsums import cli, harmonic, series, zeta
 from mzvsums.indices import AbcParams
@@ -24,6 +25,14 @@ def parse_json(out):
     report = json.loads(out)
     assert set(report) == {"command", "params", "cases", "all_passed", "elapsed_ms"}
     return report
+
+
+# Report values as _emit_report receives them: text with quotes, backslashes, line breaks and
+# non-ASCII characters, and rationals that are negative or thousands of digits long.
+_TEXTS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", 'a "b" \\c\nd', "\u00e9\u20ac\U0001f600", ""])
+_SCALARS = st.none() | st.booleans() | st.integers() | _TEXTS
+_FRACTIONS = st.fractions() | st.builds(
+    Fraction, st.integers(-(10 ** 3000), 10 ** 3000), st.integers(1, 10 ** 2000) | st.just(3 ** 5000))
 
 
 class TestVerifyCommand:
@@ -44,10 +53,36 @@ class TestVerifyCommand:
             assert key in report["params"]
         assert report["params"]["m"] is None
 
-    @pytest.mark.parametrize("kind", ["t-identity", "homomorphism", "frs"])
+    @pytest.mark.parametrize("kind", cli.VERIFY_KINDS)
     def test_json_report_is_two_space_indented_with_one_final_newline(self, capsys, kind):
         _, out, _ = run(["verify", kind, "--p", "0..1", "--q", "1", "--m", "2..3", "--count", "2"], capsys)
         assert out == json.dumps(parse_json(out), indent=2) + "\n"
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="this interpreter has no C JSON encoder")
+    def test_json_report_is_written_without_the_pure_python_encoder(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        code, out, _ = run(["verify", "t-identity", "--p", "0..1", "--q", "1", "--m", "2..3"], capsys)
+        monkeypatch.undo()
+        assert code == 0
+        assert out == json.dumps(parse_json(out), indent=2) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.fixed_dictionaries({
+        "command": _TEXTS,
+        "params": st.dictionaries(_TEXTS, _SCALARS, max_size=7),
+        "cases": st.lists(st.dictionaries(_TEXTS, _SCALARS | _FRACTIONS, max_size=7), max_size=5),
+        "all_passed": st.booleans(),
+        "elapsed_ms": st.integers(min_value=0),
+    }))
+    def test_json_report_equals_indented_json_dumps(self, report):
+        out = io.StringIO()
+        cli._emit_report(report, "json", out)
+        cases = [{key: f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v for key, v in case.items()}
+                 for case in report["cases"]]
+        assert out.getvalue() == json.dumps({**report, "cases": cases}, indent=2) + "\n"
 
     def test_rationals_serialize_in_lowest_terms(self, capsys):
         _, out, _ = run(["verify", "t-identity", "--p", "0..1", "--q", "0..1", "--m", "0..6"], capsys)
@@ -437,6 +472,8 @@ class TestArgparseErrors:
         (["verify", "gen", "--bounds=-1,2"], "error: --bounds: bounds must be non-negative"),
         (["eval", "zeta", "--m", "x"], "error: argument --m: invalid int value: 'x'"),
         ([], "error: the following arguments are required: command"),
+        (["verify"], "error: the following arguments are required: kind"),
+        (["frobnicate"], "error: argument command: invalid choice: 'frobnicate' (choose from 'verify', 'eval', 'converge')"),
     ])
     def test_exits_two_with_one_line(self, capsys, argv, err_start):
         code, out, err = run(argv, capsys)
@@ -444,14 +481,40 @@ class TestArgparseErrors:
         assert out == ""
         assert err.startswith(err_start) and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["eval", "--help"], ["converge", "-h"]])
     def test_help_exits_zero_with_the_full_help(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         captured = capsys.readouterr()
         assert exc.value.code == 0
-        assert captured.out.startswith("usage: mzvsums") and "show this help message and exit" in captured.out
+        prog = " ".join(["mzvsums", *argv[:-1]])
+        assert captured.out.startswith(f"usage: {prog} ") and "show this help message and exit" in captured.out
         assert captured.err == ""
+
+
+class TestParseByCommandWord:
+    """``main`` hands the arguments after the command word to that command's own parser."""
+
+    def test_abbreviations_equals_form_and_last_value_wins(self, capsys):
+        code, out, _ = run(["verify", "frs", "--ab", "3,1,2", "--p=1", "--q", "1", "--q", "0"], capsys)
+        assert code == 0
+        report = parse_json(out)
+        assert (report["params"]["p"], report["params"]["q"]) == ("1", "0")
+        assert [(case["p"], case["q"]) for case in report["cases"]] == [(1, 0)]
+
+    def test_every_command_runs_without_the_top_level_parser(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        monkeypatch.setattr(cli._build_parser(), "parse_args", refuse)
+        for argv in (["verify", "frs", "--p", "1", "--q", "0"], ["eval", "bernoulli", "--n", "12"],
+                     ["converge", "--p", "0", "--q", "1", "--m", "5,10"]):
+            code, out, err = run(argv, capsys)
+            assert code == 0 and out, (argv, err)
+
+    def test_no_argv_reads_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["mzvsums", "eval", "bernoulli", "--n", "12"])
+        assert run(None, capsys)[:2] == (0, "-691/2730\n~ -0.2531135531135531\n")
 
 
 class TestEvalCommand:
