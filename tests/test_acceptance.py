@@ -234,12 +234,13 @@ def test_criterion_9_cli_contract():
         except Exception as exc:  # json or schema failure
             failures.append(("schema", repr(exc)))
 
-    corrupt_env = dict(os.environ, MZV_CORRUPT_IDENTITY="1")
-    corrupted = subprocess.run(base + sweep, capture_output=True, text=True, env=corrupt_env)
-    if corrupted.returncode != 1:
-        failures.append(("corrupted sweep exit", corrupted.returncode))
-    elif json.loads(corrupted.stdout)["all_passed"]:
-        failures.append("corrupted sweep still reported all_passed")
+    # The same sweep with a weight of identity_terms one too high (tests/faults.py) must fail its check.
+    faulted = subprocess.run([sys.executable, os.path.join(os.path.dirname(__file__), "faults.py")] + sweep,
+                             capture_output=True, text=True)
+    if faulted.returncode != 1:
+        failures.append(("faulted sweep exit", faulted.returncode, faulted.stderr))
+    elif json.loads(faulted.stdout)["all_passed"]:
+        failures.append("faulted sweep still reported all_passed")
 
     unbalanced = subprocess.run(
         base + ["verify", "s-identity", "--abc", "3,1,1"], capture_output=True, text=True

@@ -1,13 +1,16 @@
-"""Command-line contract: exit codes, JSON/CSV shape, flags, env hooks."""
+"""Command-line contract: exit codes, JSON/CSV shape, flags; exit 1 through real kernel faults."""
 
 import csv
 import io
 import json
 import math
 import multiprocessing.process
+import os
 import random
+import re
 from fractions import Fraction
 
+import faults
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,34 +171,6 @@ class TestVerifyCommand:
         _, out, _ = run(["verify", "s-identity", "--p", "0", "--q", "1", "--m", "0..3"], capsys)
         assert rows == [{key: str(value) for key, value in case.items()} for case in parse_json(out)["cases"]]
 
-    def test_corrupt_hook_forces_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("MZV_CORRUPT_IDENTITY", "1")
-        code, out, err = run(["verify", "s-identity", "--p", "0", "--q", "0", "--m", "0..3"], capsys)
-        assert code == 1
-        report = parse_json(out)
-        assert report["all_passed"] is False
-        assert report["cases"][0]["equal"] is False
-        assert "MISMATCH" in err
-
-    @pytest.mark.parametrize("kind, extra", [
-        ("t-identity", ["--abc", "5,3,4", "--p", "0..1", "--q", "0..1", "--m", "2..4"]),
-        ("homomorphism", ["--m", "0..2", "--count", "3", "--seed", "4"]),
-    ])
-    def test_corrupt_hook_adds_one_to_the_first_lhs_only(self, capsys, monkeypatch, kind, extra):
-        argv = ["verify", kind, *extra]
-        _, out, _ = run(argv, capsys)
-        true_cases = parse_json(out)["cases"]
-        monkeypatch.setenv("MZV_CORRUPT_IDENTITY", "1")
-        code, out, _ = run(argv, capsys)
-        assert code == 1
-        report = parse_json(out)
-        assert report["all_passed"] is False
-        first, true_first = report["cases"][0], true_cases[0]
-        assert Fraction(first["lhs"]) == Fraction(true_first["lhs"]) + 1
-        assert first["equal"] is False
-        assert {**first, "lhs": true_first["lhs"], "equal": True} == true_first
-        assert report["cases"][1:] == true_cases[1:]
-
     def test_unbalanced_letters_exit_two(self, capsys):
         code, _, err = run(["verify", "s-identity", "--abc", "3,1,1"], capsys)
         assert code == 2
@@ -221,6 +196,22 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_recursion_error_exits_two_with_one_line(self, capsys, monkeypatch):
+        def too_deep(*args):
+            raise RecursionError
+
+        monkeypatch.setattr(harmonic, "verify_identity_t_symbolic", too_deep)
+        code, out, err = run(["verify", "frt", "--p", "0", "--q", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: input too deep for the recursion limit\n"
+
+    @pytest.mark.parametrize("kind, p, q", [("frs", 500, 0), ("frt", 0, 999), ("frs", 0, 1200)])
+    def test_a_star_family_deeper_than_the_recursion_limit_exits_two(self, capsys, kind, p, q):
+        # harmonic._star_family recurses one level per letter before it builds a word: fast, little memory.
+        code, out, err = run(["verify", kind, "--p", str(p), "--q", str(q)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: input too deep for the recursion limit\n"
 
     def test_cache_roundtrip(self, capsys, tmp_path):
         path = str(tmp_path / "tables.pkl")
@@ -343,6 +334,73 @@ class TestVerifyCommand:
             assert out == ""
             assert err.startswith("error: --cache") and err.count("\n") == 1
             assert not path.exists()
+
+
+# One sweep per verify kind, with cases its fault in ``faults`` reaches and, where it can miss some, cases it misses.
+FAULT_SWEEPS = {
+    "s-identity": ["--p", "0..1", "--q", "0..1", "--m", "0..3"],
+    "t-identity": ["--abc", "5,3,4", "--p", "0..1", "--q", "0..1", "--m", "0..3"],
+    "gen": ["--m", "0..5", "--bounds", "2,1"],
+    "symmetric": ["--abc", "4,2,3", "--m", "0..5"],
+    "frs": ["--p", "0..1", "--q", "0..1"],
+    "frt": ["--abc", "4,2,3", "--p", "0..1", "--q", "0..1"],
+    "homomorphism": ["--m", "0..4", "--count", "6", "--seed", "4"],
+}
+
+
+class _EveryMzvVariableSet(dict):
+    """A copy of the environment in which every ``MZV_`` name reads ``"1"``."""
+
+    def __getitem__(self, key):
+        return "1" if key.startswith("MZV_") else super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return "1" if key.startswith("MZV_") else super().get(key, default)
+
+    def __contains__(self, key):
+        return key.startswith("MZV_") or super().__contains__(key)
+
+
+def _masked(result):
+    code, out, err = result
+    return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out), re.sub(r"\(\d+ ms\)", "(0 ms)", err)
+
+
+class TestMismatchExit:
+    """Exit 1 comes from the checks alone: reached through a real kernel fault, never through a variable."""
+
+    @pytest.mark.parametrize("kind", cli.VERIFY_KINDS)
+    def test_fault_fails_exactly_the_cases_it_reaches(self, capsys, monkeypatch, kind):
+        argv = ["verify", kind, *FAULT_SWEEPS[kind]]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        true_cases = parse_json(out)["cases"]
+        faults.install(kind, monkeypatch.setattr)
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith(f"verify {kind}: {len(true_cases)} cases, MISMATCH FOUND (")
+        report = parse_json(out)
+        assert report["all_passed"] is False
+        cases = report["cases"]
+        assert [case["equal"] for case in cases] == [not faults.reaches(kind, case) for case in cases]
+        # The same cases in the same order; those the fault misses keep their true values.
+        assert [case.keys() for case in cases] == [case.keys() for case in true_cases]
+        assert [[case.get(k) for k in ("p", "q", "m", "u", "v")] for case in cases] == [
+            [case.get(k) for k in ("p", "q", "m", "u", "v")] for case in true_cases]
+        assert [case for case in cases if case["equal"]] == [
+            true_case for case, true_case in zip(cases, true_cases) if case["equal"]]
+        code, out, _ = run([*argv, "--format", "csv"], capsys)
+        assert code == 1
+        assert list(csv.DictReader(io.StringIO(out))) == [{k: str(v) for k, v in case.items()} for case in cases]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("kind", cli.VERIFY_KINDS)
+    def test_no_mzv_variable_changes_a_run(self, capsys, monkeypatch, kind, fmt):
+        argv = ["verify", kind, *FAULT_SWEEPS[kind], "--format", fmt]
+        unset = _masked(run(argv, capsys))
+        assert unset[0] == 0
+        monkeypatch.setattr(os, "environ", _EveryMzvVariableSet(os.environ))
+        assert _masked(run(argv, capsys)) == unset
 
 
 ACCEPTANCE_ABC = ("3,1,2", "4,2,3", "5,1,3", "5,3,4", "2,2,2")

@@ -426,3 +426,26 @@ class TestChecksAgainstLiteralSides:
         rep = check_symmetric_form(9, P312, (4, 4))
         assert rep.equal is False
         assert rep.mismatches == literal_mismatches(rep.kind, 9, P312, (4, 4)) > 0
+
+    @pytest.mark.parametrize("check, cells", [(check_star_factorization, 15), (check_symmetric_form, 16)])
+    @pytest.mark.parametrize("params", [P312, AbcParams(5, 3, 4)])
+    def test_both_grids_times_seven_are_flagged_on_every_cell(self, monkeypatch, check, cells, params):
+        """Every cell of both grids at cutoff 9 times 7: the checks compare values, not only consistency.
+
+        F* is compared with a product of three grids, F and the run series twice, so a common
+        factor 7 on one side meets 7**3 on the other, on all 15 compared cells of box (4, 4) (and on
+        the run-series inverse of the symmetric form).  A per-level design, which compares the star
+        grid cell by cell with a mirror grid advanced beside it by the other kernel, is linear in
+        the grids and passes such a common scale.
+        """
+        original = series._grids
+
+        def grids(exps, bounds, stars):
+            for t, (grids_, lcm) in enumerate(original(exps, bounds, stars)):
+                if t == 9:
+                    grids_ = tuple([[7 * v for v in row] for row in grid] for grid in grids_)
+                yield grids_, lcm
+
+        monkeypatch.setattr(series, "_grids", grids)
+        assert check(9, params, (4, 4)).mismatches == cells
+        assert check(8, params, (4, 4)).equal and check(10, params, (4, 4)).equal
