@@ -33,15 +33,15 @@ Every sweep runs its cases serially in the calling process.  A gen /
 symmetric sweep advances one ``series.GridSweep`` over its ascending
 cutoffs, so each level is computed once and each cutoff's check reads it.  An
 s/t-identity sweep shares one ``ZetaCache`` across its cases (loaded from
-``--cache`` when given, saved back afterwards): they reuse each other's
-tables.  It and the homomorphism sweep compute each (p, q) or sample from
-the top cutoff down, so each table is filled once and the lower cutoffs
-read it; the report lists the cases in ascending order all the same.  The
-other kinds keep no zeta tables and reject ``--cache`` (exit 2).  So do an
+``--cache`` when given, saved back afterwards).  It and the homomorphism
+sweep go up the cutoffs in ascending order, one pass per kind over the
+union of every case's words, and each case reads its values as the pass
+reaches its cutoff; the report lists the cases per (p, q) or sample.  The
+other kinds keep no zeta values and reject ``--cache`` (exit 2).  So do an
 empty ``--cache`` path, one whose directory does not exist, a cache file
-that cannot be read, was written by an older version or fails its
-consistency check, and a cache that cannot be written once the sweep is
-done; each is reported before anything reaches stdout.
+that cannot be read, was written by an older version or fails a check,
+and a cache that cannot be written once the sweep is done; each is
+reported before anything reaches stdout.
 """
 
 from __future__ import annotations
@@ -137,14 +137,6 @@ def _homomorphism_case(u, v, product, cache, m) -> dict:
     return {"m": m, "u": repr(u), "v": repr(v), "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
-def _top_cutoff_first(ms, case) -> list[dict]:
-    """``case(m)`` for each cutoff, in ascending order, computed from the top cutoff down.
-
-    The top cutoff fills each zeta table once; the lower cutoffs only read it.
-    """
-    return [case(m) for m in reversed(ms)][::-1]
-
-
 def _map_cases(worker, arglist) -> list[dict]:
     """``worker(*args)`` for each argument tuple, in order."""
     return [worker(*args) for args in arglist]
@@ -167,10 +159,12 @@ def _run_verify(ns) -> tuple[dict, int]:
     if kind in ("s-identity", "t-identity"):
         report_params.update(p=_range_str(ps), q=_range_str(qs), m=_range_str(ms))
         cache = _load_cache(ns.cache)
-        fn = zeta.verify_identity_s if kind == "s-identity" else zeta.verify_identity_t
-        cases = []
-        for p, q in itertools.product(ps, qs):
-            cases += _top_cutoff_first(ms, functools.partial(_identity_case, fn, params, cache, p, q))
+        fn, family = ((zeta.verify_identity_s, zeta.index_family_I) if kind == "s-identity"
+                      else (zeta.verify_identity_t, zeta.index_family_J))
+        cells = tuple(itertools.product(ps, qs))
+        by_cutoff = [[_identity_case(fn, params, cache, p, q, m) for p, q in cells]
+                     for m in cache.sweep_identities(family, cells, params, ms)]
+        cases = [case for cell in zip(*by_cutoff) for case in cell]
         _save_cache(ns.cache, cache)
     elif kind in ("gen", "symmetric"):
         bx, by = _parse_ints(ns.bounds, "--bounds", 2)
@@ -189,13 +183,16 @@ def _run_verify(ns) -> tuple[dict, int]:
             raise UsageError(f"--count: expected an integer >= 1, got {ns.count}")
         report_params.update(m=_range_str(ms), count=ns.count, seed=ns.seed)
         rng = random.Random(ns.seed)
-        cache = zeta.ZetaCache()
-        cases = []
+        samples = []
         for _ in range(ns.count):
             u = harmonic.HPoly.word(tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4))))
             v = harmonic.HPoly.word(tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4))))
-            product = harmonic.harmonic_mul(u, v)
-            cases += _top_cutoff_first(ms, functools.partial(_homomorphism_case, u, v, product, cache))
+            samples.append((u, v, harmonic.harmonic_mul(u, v)))
+        words = [w for sample in samples for poly in sample for w in poly.terms]
+        cache = zeta.ZetaCache()
+        by_cutoff = [[_homomorphism_case(u, v, product, cache, m) for u, v, product in samples]
+                     for m in cache.sweep(words, False, ms)]
+        cases = [case for sample in zip(*by_cutoff) for case in sample]
 
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     all_passed = all(case["equal"] for case in cases)
@@ -233,7 +230,7 @@ def _save_cache(path, cache) -> None:
 
 
 # Line break and indentation as item separator: the C encoder writes a flat dict one item per line.
-_FLAT_JSON = {pad: json.JSONEncoder(separators=(",\n" + pad, ": ")).encode for pad in ("    ", "      ")}
+_FLAT_JSON = {pad: json.JSONEncoder(separators=(",\n" + pad, ": ")).encode for pad in ("  ", "    ", "      ")}
 
 
 def _flat_json(d: dict, pad: str) -> str:
@@ -249,8 +246,9 @@ def _emit_report(report: dict, fmt: str, out) -> None:
         case_list = ",\n    ".join(_flat_json(case, "      ") for case in cases)
         nested = {"params": _flat_json(report["params"], "    "),
                   "cases": f"[\n    {case_list}\n  ]" if cases else "[]"}
-        items = ",\n  ".join(f"{json.dumps(key)}: {nested.get(key) or json.dumps(value)}"
-                             for key, value in report.items())
+        # The scalars in one encoder call; an encoded item holds no raw line break, so the split is exact.
+        scalars = iter(_FLAT_JSON["  "]({k: v for k, v in report.items() if k not in nested})[1:-1].split(",\n  "))
+        items = ",\n  ".join(f'"{key}": {nested[key]}' if key in nested else next(scalars) for key in report)
         out.write(f"{{\n  {items}\n}}\n")
     else:
         writer = csv.DictWriter(out, fieldnames=list(cases[0]) if cases else ["equal"])

@@ -25,7 +25,7 @@ triangle and ``Fraction`` recurrence they replaced are oracles in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
@@ -144,12 +144,10 @@ def _float_or_inf(value: Fraction) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-@dataclass(frozen=True)
-class PiCoefficient:
+class PiCoefficient(namedtuple("PiCoefficient", "rational pi_power")):
     """A value rational * pi^pi_power, kept exact in the rational part."""
 
-    rational: Fraction
-    pi_power: int
+    __slots__ = ()
 
     def __float__(self) -> float:
         try:
@@ -186,12 +184,8 @@ def check_closed_letters(params: AbcParams) -> None:
         raise ValueError(f"closed forms require letters (3, 1, 2), got {params.as_tuple()}")
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    m: int
-    truncated_over_pi_power: float
-    closed_form: float
-    abs_error: float
+class ConvergenceRow(namedtuple("ConvergenceRow", "m truncated_over_pi_power closed_form abs_error")):
+    __slots__ = ()
 
 
 def converge_report(

@@ -23,9 +23,9 @@ of words.  Three structures live here:
 * the evaluation maps ``z_eval`` (word -> truncated zeta value at cutoff m,
   an algebra homomorphism for the quasi-shuffle product) and ``z_star_eval``
   (evaluation after star expansion, giving truncated zeta-star values).
-  Evaluation sums the words' scaled integer numerators (value times
-  lcm(1..m)**weight, read from a ``ZetaCache``) per weight and builds one
-  ``Fraction``, not one per word.
+  Evaluation fills the words in one ``ZetaCache`` fill, sums their scaled
+  integer numerators (value times lcm(1..m)**weight) per weight and builds
+  one ``Fraction``, not one per word.
 
 On top of these, ``word_sum_s`` / ``word_sum_t`` lift the shuffle families
 to word sums, and the ``verify_*_symbolic`` functions check, purely
@@ -40,7 +40,7 @@ quasi-shuffle product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .indices import AbcParams, index_family_I, index_family_J, validate_index
@@ -219,18 +219,16 @@ def z_eval(u: HPoly, m: int, cache: ZetaCache | None = None) -> Fraction:
     """Evaluate each word as a truncated zeta value at cutoff m, linearly.
 
     This is an algebra homomorphism for :func:`harmonic_mul`:
-    z_eval(u * v) = z_eval(u) z_eval(v) at every cutoff.  Sums the scaled
-    numerators ``cache.scaled`` per weight, then divides once, by
-    lcm(1..m)**(largest weight).
+    z_eval(u * v) = z_eval(u) z_eval(v) at every cutoff.  Reads u's scaled
+    numerators from one ``cache.fill``, sums them per weight, then divides
+    once, by lcm(1..m)**(largest weight).
     """
-    if m < 0:
-        raise ValueError(f"cutoff m must be non-negative, got {m}")
     if cache is None:
         cache = ZetaCache()
     by_weight: dict[int, int | Fraction] = {}  # weight -> sum of c * value * lcm(1..m)**weight
-    for w, c in u.terms.items():
+    for (w, c), n in zip(u.terms.items(), cache.fill(u.terms, m, False)):  # fill refuses a negative m
         weight = sum(w)
-        by_weight[weight] = by_weight.get(weight, 0) + c * cache.scaled(w, m, False)
+        by_weight[weight] = by_weight.get(weight, 0) + c * n
     lm, top = cache.lcm(m), max(by_weight, default=0)
     return Fraction(sum(n * lm ** (top - weight) for weight, n in by_weight.items()), lm**top)
 
@@ -250,16 +248,10 @@ def word_sum_t(p: int, q: int, params: AbcParams) -> HPoly:
     return HPoly(index_family_J(p, q, params))
 
 
-@dataclass(frozen=True)
-class WordIdentityReport:
+class WordIdentityReport(namedtuple("WordIdentityReport", "params p q lhs_terms rhs_terms equal")):
     """Outcome of one symbolic identity check at fixed (p, q)."""
 
-    params: AbcParams
-    p: int
-    q: int
-    lhs_terms: int
-    rhs_terms: int
-    equal: bool
+    __slots__ = ()
 
 
 def _star_family(params: AbcParams, state: int, x: int, y: int, memo: dict) -> dict[Word, int]:

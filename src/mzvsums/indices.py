@@ -17,7 +17,7 @@ is always ``binomial(len(s1)+len(s2), len(s1))``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 Index = tuple[int, ...]
 IndexMultiset = dict[Index, int]
@@ -42,23 +42,20 @@ def validate_index(k) -> Index:
     return k
 
 
-@dataclass(frozen=True)
-class AbcParams:
+class AbcParams(namedtuple("AbcParams", "a b c")):
     """The letter triple (a, b, c) with a + b = 2c and a >= 2."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
+    def __new__(cls, a: int, b: int, c: int):
+        for name, v in (("a", a), ("b", b), ("c", c)):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if self.a + self.b != 2 * self.c:
-            raise ValueError(f"a+b must equal 2c (got a={self.a}, b={self.b}, c={self.c})")
-        if self.a < 2:
-            raise ValueError(f"a must be at least 2 (got a={self.a})")
+        if a + b != 2 * c:
+            raise ValueError(f"a+b must equal 2c (got a={a}, b={b}, c={c})")
+        if a < 2:
+            raise ValueError(f"a must be at least 2 (got a={a})")
+        return super().__new__(cls, a, b, c)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .indices import AbcParams, _check_pq
@@ -419,16 +419,10 @@ def extract_t(g: BivarPoly, p: int, q: int) -> Fraction:
     return g.coeff(2 * p + 1, q)
 
 
-@dataclass(frozen=True)
-class SeriesIdentityReport:
+class SeriesIdentityReport(namedtuple("SeriesIdentityReport", "kind params m bounds equal mismatches")):
     """Outcome of one truncated-series identity check at fixed cutoff m."""
 
-    kind: str
-    params: AbcParams
-    m: int
-    bounds: tuple[int, int]
-    equal: bool
-    mismatches: int
+    __slots__ = ()
 
 
 def star_factorization_sides(

@@ -14,18 +14,17 @@ driven by the two recurrences
 
 Every term of either sum at cutoff t is an integer over L_t**w, where
 L_t = lcm(1..t) (L_0 = 1) and w = k_1 + ... + k_n is the weight of k.  So
-the tables hold scaled numerators, plain integers
+the cache holds scaled numerators, plain integers
 N_t(k) = value_t(k) * L_t**w, and with r = L_t // L_{t-1} (1 unless t is a
 prime power) the recurrences become integer updates:
 
     N_t(k) = N_{t-1}(k) * r**w + (L_t // t)**k_1 * N_{t-1}(k_2..k_n) * r**(w - k_1)
     N*_t(k) = N*_{t-1}(k) * r**w + (L_t // t)**k_1 * N*_t(k_2..k_n)
 
-The factors r**w come from one list per weight w, kept by the cache.  As
-zeta_t(k) = 0 for t < len(k), a strict table is born holding those zeros.  A
-``Fraction`` is built only where a value leaves the module.  The tests check
-the tables against a separately coded brute-force enumerator over monotone
-tuples, on small inputs.
+A value at cutoff t needs only values at t and t - 1, so ``ZetaCache`` keeps
+running numerators, O(m * weight) bits per word at any cutoff m, and builds
+a ``Fraction`` only where a value leaves the module.  The tests check it
+against a separately coded brute-force enumerator over monotone tuples.
 
 On top sit the family sums ``s``/``t`` (multiplicity-weighted sums over the
 shuffle families) and the finite-cutoff identity that expresses the star
@@ -42,8 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-import pickle
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -65,63 +63,41 @@ __all__ = [
 ]
 
 # First field of a saved cache; a file without it (for instance one holding
-# the Fraction tables of earlier versions) is refused.
-_CACHE_FORMAT = "mzvsums-zeta-cache/int-1"
-
-
-class _BuiltinsOnly(pickle.Unpickler):
-    """A saved cache holds only tuples, dicts, lists, ints and a str: refuse any class."""
-
-    def find_class(self, module, name):
-        raise pickle.UnpicklingError(f"a zeta cache holds no {module}.{name} objects")
-
+# the per-cutoff tables of earlier versions) is refused.
+_CACHE_FORMAT = "mzvsums-zeta-cache/run-1"
 
 class ZetaCache:
-    """Suffix-keyed DP tables of scaled numerators of truncated zeta(-star) values.
+    """Running numerators of truncated zeta(-star) values: per suffix and kind, ``[t, N_(t-1), N_t]``.
 
-    ``table[t]`` for a suffix of weight w is the ``int`` value_t * L_t**w,
-    with L_t = lcm(1..t) taken from one list shared by every table.  Each
-    entry carries its own L_t, so a table extends in place when a larger
-    cutoff is requested, with no rescale pass, and evaluating at m = 100
-    after m = 800 costs a lookup.  Beside the lcm list the cache keeps the
-    ratios r_t = L_t // L_(t-1) and two kinds of factor lists, each extended
-    only when a cutoff outgrows it: per first letter k0, (L_t // t)**k0, and
-    per weight w, r_t**w.  So ``_extend`` computes no power per entry, and
-    reads each list once per table.  A new strict table of a word of length n
-    is born as n zeros, a new star table as [0]; ``len(table) - 1`` is the
-    filled cutoff.  A fill walks from the word through its suffixes, longest
-    first, to the first table filled past the cutoff, then extends the tables
-    it passed, shortest first.
+    ``fill(words, m, star)`` brings a word set to cutoff m through its
+    suffix closure, level by level, from the cutoff t0 <= m that every
+    suffix in it shares, else from 0: each level computes (L_t // t)**k_1
+    per first letter and, at prime powers, r_t**w per weight, then updates
+    star suffixes shortest first (they read the sub's new value) and strict
+    ones longest first (the old one).  So a lower cutoff, or a chain whose
+    shared suffix another set moved, refills from 0, and callers that read
+    several cutoffs pass them in ascending order over the union of their
+    words (``sweep``, ``sweep_identities``).  A set's plan is built once per
+    cache, beside the ratios r_t = L_t // L_(t-1) and each family's members.
 
-    Family sums go through a memo: each (family, i, j, params) is enumerated
-    once per cache, and each (family, i, j, params, star) keeps its members
-    as (multiplicity, table) pairs with the cutoff they are filled to.  A
-    family sum at a cutoff up to that one reads ``table[m]``; a larger
-    cutoff first fills every member table to it.  A sweep that starts at its
-    top cutoff thus extends each table once.
-
-    ``save`` writes ``(_CACHE_FORMAT, strict tables, star tables)``
-    atomically; ``load`` checks the tag, the types, that a strict table's
-    entries below its word's length are 0, that each longer table has the
-    table it recurs on, and each table's last entry against its recurrence,
-    and raises ``ValueError`` (or ``pickle.UnpicklingError``) on any failure.
-    That refuses caches of older versions and most damage, but the other
-    entries are not re-derived (that would cost a refill): a file with an
-    altered middle entry loads, and an identity check that reads the entry
-    reports a mismatch.
+    ``save`` writes ``(_CACHE_FORMAT, strict states, star states)``
+    atomically, only the chains whose suffixes all sit at one cutoff t >= 1.
+    ``load`` checks the tag, the types and each state's last step against
+    its recurrence (star reads the sub's N_t, strict its N_(t-1)), refuses
+    a state whose sub is missing or at another cutoff, and raises
+    ``ValueError`` (or ``pickle.UnpicklingError``) on any failure.  So one
+    altered number fails the load; only alterations that keep every last
+    step consistent pass, as the N_(t-1) are not re-derived.
     """
 
     def __init__(self):
-        # suffix tuple -> scaled numerators indexed by the cutoff t
-        self._strict: dict[Index, list[int]] = {}
-        self._star: dict[Index, list[int]] = {}
-        self._lcms: list[int] = [1]  # L_t = lcm(1..t)
-        self._ratios: list[int] = [1]  # L_t // L_(t-1)
-        self._steps: dict[int, list[int]] = {}  # first letter k0 -> (L_t // t)**k0 by t
-        self._powers: dict[int, list[int]] = {}  # weight w -> (L_t // L_(t-1))**w by t
+        self._states: tuple[dict, dict] = ({}, {})  # [strict, star]: suffix -> [t, N_(t-1), N_t]
+        self._sets: dict[tuple, list] = {}  # (key, star) -> [states of the non-empty words, words, plan or None]
+        self._ratios: list[int] = [1]  # r_t = L_t // L_(t-1)
+        self._ratio_lcm = 1  # L_t at the last t of _ratios
+        self._lcms: dict[int, int] = {0: 1}  # L_t at the cutoffs filled or asked for
         self._members: dict[tuple, IndexMultiset] = {}  # (family, i, j, params) -> the family
-        # (family, i, j, params, star) -> (filled cutoff, [(multiplicity, member table)])
-        self._families: dict[tuple, tuple[int, list]] = {}
+        self._terms: dict[tuple, list] = {}  # (family, i, j, params, star) -> [(multiplicity, member state)]
 
     def zeta(self, k: Index, m: int) -> Fraction:
         return Fraction(self.scaled(k, m, False), self.lcm(m) ** sum(k))
@@ -131,33 +107,128 @@ class ZetaCache:
 
     def scaled(self, k: Index, m: int, star: bool) -> int:
         """The zeta (or zeta-star) value of k at cutoff m, times lcm(1..m)**weight(k)."""
-        if m < 0:  # a negative cutoff would read table[m] from the end
-            raise ValueError(f"cutoff m must be non-negative, got {m}")
-        tab = (self._star if star else self._strict).get(k)
-        if tab is None or len(tab) <= m:
-            self.lcm(m)
-            tab = self._fill(k, m, star)
-        return tab[m]
+        return self.fill((k,), m, star)[0]
 
-    def _fill(self, k: Index, m: int, star: bool) -> list[int]:
-        """k's table filled to m or past (lcm lists must reach m); a loop: k may outgrow the recursion limit."""
-        tables = self._star if star else self._strict
-        passed = []
-        for start in range(len(k)):
-            suf = k[start:]
-            tab = tables.get(suf)
-            if tab is None:  # star values are non-zero from t = 1
-                tab = tables[suf] = [0] if star else [0] * len(suf)
-            if len(tab) > m:
+    def fill(self, words, m: int, star: bool) -> list[int]:
+        """The scaled values of ``words`` (indices) at cutoff m, filled as one set if any is not there."""
+        if m < 0:
+            raise ValueError(f"cutoff m must be non-negative, got {m}")
+        states, words = self._states[star], tuple(words)
+        for k in words:
+            state = states.get(k)
+            if (state is None or state[0] != m) and k:
+                self._fill(self._set(words, star, words), m, star)
                 break
-            passed.append((suf, tab))
-        else:
-            tab = tables.setdefault((), [1])
-            tab += [1] * (m + 1 - len(tab))
-        for suf, longer in reversed(passed):  # shortest first: each recurs on the table filled before it
-            self._extend(longer, tab, suf, m, star)
-            tab = longer
-        return tab
+        return [states[k][2] if k else 1 for k in words]
+
+    def sweep(self, words, star: bool, cutoffs):
+        """Yield each of the ascending ``cutoffs`` once every word of ``words`` sits there: one pass."""
+        _check_ascending(cutoffs)
+        words = tuple(words)
+        yield from self._pass(self._set(words, star, words), cutoffs, star)
+
+    def sweep_identities(self, family, cells: tuple, params: AbcParams, cutoffs):
+        """Yield each of the ascending ``cutoffs`` once the words of the (p, q) identity over ``family``
+        of every cell of ``cells`` sit there: one pass per kind over their union.  Star: the (p, q)
+        families and the c-runs up to length 2p + q; strict: the (i, j) families of ``identity_terms``.
+        """
+        _check_ascending(cutoffs)
+        passes = [self._pass(self._identity_set(family, cells, params, star), cutoffs, star) for star in (True, False)]
+        for m, _ in zip(*passes):
+            yield m
+
+    def _identity_set(self, family, cells: tuple, params: AbcParams, star: bool) -> list:
+        key = (family, cells, params)
+        return self._sets.get((key, star)) or self._set(key, star, (
+            w for p, q in cells
+            for words in ((self.members(family, p, q, params), [(params.c,) * r for r in range(2 * p + q + 1)])
+                          if star else [self.members(family, i, j, params) for i, j, _ in identity_terms(p, q)])
+            for w in words))
+
+    def _set(self, key, star: bool, words) -> list:
+        """The word set named ``key``, made from ``words`` (read only here) on first use."""
+        found = self._sets.get((key, star))
+        if found is None:
+            words = tuple(dict.fromkeys(words))
+            states = self._states[star]
+            found = self._sets[key, star] = [[states.setdefault(k, [0, 0, 0]) for k in words if k], words, None]
+        return found
+
+    def _fill(self, word_set: list, m: int, star: bool) -> None:
+        """Bring the set's words to m, unless they all sit there."""
+        if any(state[0] != m for state in word_set[0]):
+            for _ in self._pass(word_set, (m,), star):
+                pass
+
+    def _pass(self, word_set: list, cutoffs, star: bool):
+        """Advance the set's closure through the ascending ``cutoffs``, from the cutoff it shares, else from 0.
+
+        Writes the states and yields at each cutoff; a loop at every depth."""
+        if word_set[2] is None:
+            word_set[2] = self._plan(word_set[1], star)
+        chain, tops, steps, k0s, weights = word_set[2]
+        if not chain:  # only the empty word
+            yield from cutoffs
+            return
+        t0 = chain[0][0][0]
+        if t0 > cutoffs[0] or any(state[0] != t0 for state, _ in chain):
+            t0 = 0
+        vals = [1] + ([state[2] for state, _ in chain] if t0 else [0] * len(chain))  # a word is 0 at cutoff 0
+        prev = [1] + [state[1] for state, _ in chain] if t0 else vals
+        ratios = self._ratios if len(self._ratios) > cutoffs[-1] else self._ratios_to(cutoffs[-1])
+        lt, fs, rs = self.lcm(t0), {}, {}
+        for m in cutoffs:
+            for t in range(t0 + 1, m + 1):
+                if t == m:
+                    prev = vals[:]
+                r = ratios[t]
+                if r != 1:  # t is a prime power: every value is rescaled to L_t
+                    lt *= r
+                    for w in weights:
+                        rs[w] = r**w
+                f = lt // t
+                for k0 in k0s:
+                    fs[k0] = f**k0
+                if r == 1:
+                    for i, j, k0, _, _ in steps:
+                        vals[i] += fs[k0] * vals[j]
+                elif star:  # shortest first: vals[j] is the sub's value at t
+                    for i, j, k0, w, _ in steps:
+                        vals[i] = vals[i] * rs[w] + fs[k0] * vals[j]
+                else:  # longest first: vals[j] is the sub's value at t - 1, brought to L_t
+                    for i, j, k0, w, sw in steps:
+                        vals[i] = vals[i] * rs[w] + fs[k0] * vals[j] * rs[sw]
+            t0 = m
+            self._lcms[m] = lt
+            for state, i in chain if m == cutoffs[-1] else tops:  # the words alone until the last cutoff
+                state[:] = m, prev[i], vals[i]
+            yield m
+
+    def _plan(self, words, star: bool) -> tuple:
+        """(chain, words, steps, first letters, weights) of the words' suffix closure.
+
+        A walk from each word's last letter gives each new suffix the next slot,
+        so a sub's slot (0 for the empty word) is below its suffix's.  A step
+        (i, j, k0, w, w - k0) updates slot i, of first letter k0 and weight w,
+        from its sub's slot j: star steps in slot order, strict ones reversed.
+        """
+        states = self._states[star]
+        slots: dict[tuple[int, int], int] = {}  # (first letter, sub's slot) -> slot
+        chain, tops, steps = [], [], []
+        for k in words:
+            j = w = 0  # the sub's slot and weight
+            for i in range(len(k) - 1, -1, -1):
+                k0 = k[i]
+                i_slot = slots.setdefault((k0, j), len(slots) + 1)
+                if i_slot > len(steps):
+                    steps.append((i_slot, j, k0, w + k0, w))
+                    chain.append((states.setdefault(k[i:], [0, 0, 0]), i_slot))
+                j, w = i_slot, w + k0
+            if k:
+                tops.append((chain[j - 1][0], j))
+        k0s = {step[2] for step in steps}
+        weights = {w for step in steps for w in step[3:]}
+        return chain, tops, steps if star else steps[::-1], k0s, weights
 
     def members(self, family, i: int, j: int, params: AbcParams) -> IndexMultiset:
         """``family(i, j, params)`` (``index_family_I`` or ``_J``), enumerated once per cache."""
@@ -168,71 +239,52 @@ class ZetaCache:
         return found
 
     def family_scaled(self, family, i: int, j: int, params: AbcParams, m: int, star: bool) -> int:
-        """The (i, j) family sum at cutoff m times lcm(1..m)**weight; every member has that weight.
-
-        The member tables are filled to m and kept as (multiplicity, table)
-        pairs, so a later call at a cutoff up to m only reads ``table[m]``.
-        """
+        """The (i, j) family sum at cutoff m times lcm(1..m)**weight; every member has that weight."""
         if m < 0:  # every family sum and identity check starts here
             raise ValueError(f"cutoff m must be non-negative, got {m}")
+        self._fill(self._set((family, i, j, params), star, self.members(family, i, j, params)), m, star)
+        return self._family_at(family, i, j, params, star)
+
+    def _family_at(self, family, i: int, j: int, params: AbcParams, star: bool) -> int:
+        """The scaled (i, j) family sum at the cutoff its members sit at."""
         key = (family, i, j, params, star)
-        memo = self._families.get(key)
-        if memo is None or memo[0] < m:
-            self.lcm(m)
-            members = self.members(family, i, j, params).items()
-            memo = self._families[key] = (m, [(mult, self._fill(k, m, star)) for k, mult in members])
-        return sum(mult * tab[m] for mult, tab in memo[1])
+        terms = self._terms.get(key)
+        if terms is None:
+            states = self._states[star]
+            terms = self._terms[key] = [(mult, states[k] if k else (None, 1, 1))  # the empty word is 1
+                                        for k, mult in self.members(family, i, j, params).items()]
+        return sum(mult * state[2] for mult, state in terms)
 
     def lcm(self, m: int) -> int:
-        """lcm(1..m), extending the shared lists as needed."""
-        if m < 0:  # a negative cutoff would read lcms[m] from the end
+        """lcm(1..m)."""
+        if m < 0:
             raise ValueError(f"cutoff m must be non-negative, got {m}")
-        lcms = self._lcms
-        for t in range(len(lcms), m + 1):
-            lt = math.lcm(lcms[-1], t)
-            self._ratios.append(lt // lcms[-1])
-            lcms.append(lt)
-        return lcms[m]
+        lt = self._lcms.get(m)
+        if lt is None:
+            lt = self._lcms[m] = math.prod(r for r in self._ratios_to(m)[1 : m + 1] if r != 1)
+        return lt
 
-    def _extend(self, tab: list[int], sub: list[int], suf: Index, m: int, star: bool) -> None:
-        """Append the entries of ``suf``'s table up to cutoff m; ``sub`` is the table of suf[1:]."""
-        ratios = self._ratios
-        k0, w = suf[0], sum(suf)
-        steps = self._steps.get(k0)
-        if steps is None or len(steps) <= m:
-            steps = self._steps.setdefault(k0, [0])
-            steps += [(self._lcms[t] // t) ** k0 for t in range(len(steps), m + 1)]
-        pw = self._powers.get(w)
-        if pw is None or len(pw) <= m:
-            pw = self._powers.setdefault(w, [])
-            pw += [r**w for r in ratios[len(pw):]]
-        n = tab[-1]
-        if star:
-            for t in range(len(tab), m + 1):
-                if ratios[t] != 1:  # t is a prime power: bring the cutoff t-1 numerator to L_t
-                    n *= pw[t]
-                n += steps[t] * sub[t]
-                tab.append(n)
-            return
-        ps = self._powers.get(w - k0)  # the strict loop rescales suf[1:] at cutoff t-1, of weight w - k0
-        if ps is None or len(ps) <= m:
-            ps = self._powers.setdefault(w - k0, [])
-            ps += [r ** (w - k0) for r in ratios[len(ps):]]
-        for t in range(len(tab), m + 1):
-            s = sub[t - 1]
-            if ratios[t] != 1:
-                n *= pw[t]
-                s *= ps[t]
-            n += steps[t] * s
-            tab.append(n)
+    def _ratios_to(self, m: int) -> list[int]:
+        """The ratios r_t = L_t // L_(t-1) = t // gcd(L_(t-1), t), extended to t = m."""
+        ratios, lt = self._ratios, self._ratio_lcm
+        for t in range(len(ratios), m + 1):
+            ratios.append(t // math.gcd(lt, t))
+            lt *= ratios[t]
+        self._ratio_lcm = lt
+        return ratios
 
     def save(self, path) -> None:
-        """Write the tables to ``path`` via a temporary file in its directory and ``os.replace``."""
+        """Write the saveable chains to ``path`` via a temporary file in its directory and ``os.replace``."""
+        import pickle
+
+        chains = [{k: state for k, state in states.items()
+                   if state[0] >= 1 and all(states[k[i:]][0] == state[0] for i in range(1, len(k)))}
+                  for states in self._states]
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         fh = open(tmp, "wb")
         try:
             with fh:
-                pickle.dump((_CACHE_FORMAT, self._strict, self._star), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump((_CACHE_FORMAT, *chains), fh, protocol=pickle.HIGHEST_PROTOCOL)
                 fh.flush()
                 os.fsync(fh.fileno())  # on disk before the rename, so a crash cannot leave a partial cache
             os.replace(tmp, path)
@@ -243,47 +295,41 @@ class ZetaCache:
     @classmethod
     def load(cls, path) -> "ZetaCache":
         """Read a cache written by ``save``, after the checks the class docstring lists."""
+        import pickle
+
+        class BuiltinsOnly(pickle.Unpickler):
+            """A saved cache holds only tuples, dicts, lists, ints and a str: refuse any class."""
+
+            def find_class(self, module, name):
+                raise pickle.UnpicklingError(f"a zeta cache holds no {module}.{name} objects")
+
         with open(path, "rb") as fh:
-            data = _BuiltinsOnly(fh).load()
+            data = BuiltinsOnly(fh).load()
         if not (type(data) is tuple and len(data) == 3 and data[0] == _CACHE_FORMAT):
             raise ValueError(f"not a zeta cache in format {_CACHE_FORMAT}")
         cache = cls()
-        cache._strict = _copied_tables(data[1])
-        cache._star = _copied_tables(data[2])
-        cache.lcm(max(map(len, [*cache._strict.values(), *cache._star.values()]), default=1) - 1)
-        for is_star, tables in ((False, cache._strict), (True, cache._star)):
-            for suf, tab in tables.items():
-                if not suf:
-                    if any(v != 1 for v in tab):
-                        raise ValueError("the table of the empty index is not all ones")
-                    continue
-                zeros = 1 if is_star else len(suf)  # the fill trusts these entries to be 0
-                if any(tab[:zeros]):
-                    raise ValueError(f"the table of {suf} has a non-zero entry below cutoff {zeros}")
-                if len(tab) <= zeros:
-                    continue
-                sub = tables.get(suf[1:])
-                if sub is None or len(sub) < len(tab):
-                    raise ValueError(f"the table of {suf} has no table of {suf[1:]} to recur on")
-                probe = tab[:-1]
-                cache._extend(probe, sub, suf, len(tab) - 1, is_star)
-                if probe[-1] != tab[-1]:
-                    raise ValueError(f"the table of {suf} fails its recurrence at cutoff {len(tab) - 1}")
+        for star, states in enumerate(cache._states):
+            if type(data[1 + star]) is not dict:
+                raise ValueError("the states are not a dict")
+            for k, state in data[1 + star].items():
+                if not (type(k) is tuple and k and all(type(e) is int and e >= 1 for e in k) and type(state) is list
+                        and len(state) == 3 and all(type(v) is int for v in state) and state[0] >= 1):
+                    raise ValueError(f"the state of {k!r} is malformed")
+                states[k] = list(state)
+            for k, (t, n0, n1) in states.items():
+                sub = states.get(k[1:], (None,)) if len(k) > 1 else (t, 1, 1)  # the empty word is 1
+                if sub[0] != t:
+                    raise ValueError(f"the state of {k} has no state of {k[1:]} at cutoff {t} to check against")
+                r, w = cache._ratios_to(t)[t], sum(k)
+                step = (cache.lcm(t) // t) ** k[0]
+                if n1 != n0 * r**w + step * (sub[2] if star else sub[1] * r ** (w - k[0])):
+                    raise ValueError(f"the state of {k} fails its recurrence at cutoff {t}")
         return cache
 
 
-def _copied_tables(tables) -> dict[Index, list[int]]:
-    """Loaded tables in fresh containers, so no two can alias; ``ValueError`` if malformed."""
-    if type(tables) is not dict:
-        raise ValueError("the tables are not a dict")
-    copied = {}
-    for suf, tab in tables.items():
-        if not (type(suf) is tuple and all(type(e) is int and e >= 1 for e in suf)):
-            raise ValueError(f"bad table key {suf!r}")
-        if not (type(tab) is list and tab and all(type(v) is int for v in tab)):
-            raise ValueError(f"the table of {suf} is malformed")
-        copied[suf] = list(tab)
-    return copied
+def _check_ascending(cutoffs) -> None:
+    if cutoffs[0] < 0 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"cutoffs must be non-negative and increase, got {list(cutoffs)}")
 
 
 def _checked(k, m) -> Index:
@@ -334,17 +380,10 @@ def t_star_direct(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | 
     return _family_sum(index_family_J, p, q, m, params, True, cache)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", "params p q m lhs rhs equal")):
     """Outcome of one exact identity check at fixed (p, q, m)."""
 
-    params: AbcParams
-    p: int
-    q: int
-    m: int
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
+    __slots__ = ()
 
 
 def decompositions(p: int, q: int):
@@ -380,16 +419,21 @@ def _verify_identity(p, q, m, params, family, cache) -> IdentityReport:
     """Both sides of the (p, q) identity over ``family`` (I or J), compared as integers.
 
     Every term has the weight of the left side, so each side is a sum of
-    scaled numerators over lcm(1..m)**weight.  The right side reads the
-    groups of ``identity_terms``: one family sum per (i, j), times its
-    weighted sum of star-run products.
+    scaled numerators over lcm(1..m)**weight.  The words of both sides are
+    filled together, one fill per kind; the right side reads the groups of
+    ``identity_terms``: one family sum per (i, j), times its weighted sum of
+    star-run products.
     """
     if cache is None:
         cache = ZetaCache()
-    lhs = cache.family_scaled(family, p, q, params, m, True)
-    runs = [cache.scaled((params.c,) * r, m, True) for r in range(2 * p + q + 1)]
+    if m < 0:
+        raise ValueError(f"cutoff m must be non-negative, got {m}")
+    for star in (True, False):
+        cache._fill(cache._identity_set(family, ((p, q),), params, star), m, star)
+    lhs = cache._family_at(family, p, q, params, True)
+    runs = cache.fill([(params.c,) * r for r in range(2 * p + q + 1)], m, True)
     rhs = sum(
-        cache.family_scaled(family, i, j, params, m, False) * sum(w * runs[r1] * runs[r2] for w, r1, r2 in pairs)
+        cache._family_at(family, i, j, params, False) * sum(w * runs[r1] * runs[r2] for w, r1, r2 in pairs)
         for i, j, pairs in identity_terms(p, q)
     )
     den = cache.lcm(m) ** _weight(family, p, q, params, cache)

@@ -276,17 +276,41 @@ class TestVerifyCommand:
         path.write_bytes(pickle.dumps((tag, strict, star)))
         self._assert_cache_rejected(path, capsys)
 
-    def test_cache_with_a_non_zero_strict_prefix_entry_exits_two(self, capsys, tmp_path):
-        # The fill trusts a strict table's entries below its word length to be 0; the last entry stays right.
+    @pytest.mark.parametrize("star, field", [(False, 0), (False, 1), (False, 2), (True, 0), (True, 1)])
+    def test_cache_with_any_altered_number_exits_two(self, capsys, tmp_path, star, field):
+        # A state is [cutoff, numerator at cutoff - 1, numerator at cutoff]; load checks the last step of each.
         import pickle
 
-        path = tmp_path / "tables.pkl"
+        path = tmp_path / "states.pkl"
+        code, _, _ = run(["verify", "s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..8",
+                          "--cache", str(path)], capsys)
+        assert code == 0
+        tag, strict, star_states = pickle.loads(path.read_bytes())
+        (star_states if star else strict)[(3, 1, 2)][field] += 1
+        path.write_bytes(pickle.dumps((tag, strict, star_states)))
+        self._assert_cache_rejected(path, capsys)
+
+    def test_cache_with_a_mixed_chain_exits_two(self, capsys, tmp_path):
+        # save writes no such chain: (2, 2) at cutoff 8 over a (2,) at cutoff 3 cannot be checked.
+        import pickle
+
+        path = tmp_path / "states.pkl"
         code, _, _ = run(["verify", "s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..8",
                           "--cache", str(path)], capsys)
         assert code == 0
         tag, strict, star = pickle.loads(path.read_bytes())
-        strict[(3, 1, 2)][2] = 1
+        cache = zeta.ZetaCache()
+        cache.scaled((2,), 3, True)
+        star[(2,)] = cache._states[True][(2,)]
         path.write_bytes(pickle.dumps((tag, strict, star)))
+        self._assert_cache_rejected(path, capsys)
+
+    def test_cache_of_the_per_cutoff_tables_format_exits_two(self, capsys, tmp_path):
+        import pickle
+
+        path = tmp_path / "tables.pkl"
+        tables = {(2,): [0, 1, 5], (): [1, 1, 1]}
+        path.write_bytes(pickle.dumps(("mzvsums-zeta-cache/int-1", tables, tables)))
         self._assert_cache_rejected(path, capsys)
 
     def test_cache_with_another_format_tag_exits_two(self, capsys, tmp_path):
@@ -407,7 +431,7 @@ ACCEPTANCE_ABC = ("3,1,2", "4,2,3", "5,1,3", "5,3,4", "2,2,2")
 
 
 class TestSweepOrder:
-    """A sweep computes each (p, q) from its top cutoff down; the report and its values are unchanged."""
+    """A sweep fills every case's words at each cutoff in ascending order; the report and its values are unchanged."""
 
     @pytest.mark.parametrize("abc", ACCEPTANCE_ABC)
     @pytest.mark.parametrize("kind", ["s-identity", "t-identity"])
@@ -469,15 +493,15 @@ class TestSweepOrder:
         assert [m for m, rep in enumerate(fresh) if not rep.equal] == [9]
 
     @pytest.mark.parametrize("kind, family", [("s-identity", "index_family_I"), ("t-identity", "index_family_J")])
-    def test_each_table_and_family_is_built_once_per_sweep(self, capsys, monkeypatch, kind, family):
-        extended = []
+    def test_each_level_and_family_is_computed_once_per_sweep(self, capsys, monkeypatch, kind, family):
+        passes = []
         caches = set()
-        original_extend = zeta.ZetaCache._extend
+        original_pass = zeta.ZetaCache._pass
 
-        def counting_extend(self, tab, sub, suf, m, star):
-            extended.append((suf, star))
+        def counting_pass(self, word_set, cutoffs, star):
+            passes.append((tuple(cutoffs), star))
             caches.add(self)
-            return original_extend(self, tab, sub, suf, m, star)
+            return original_pass(self, word_set, cutoffs, star)
 
         enumerated = []
         original_family = getattr(zeta, family)
@@ -486,13 +510,14 @@ class TestSweepOrder:
             enumerated.append((i, j))
             return original_family(i, j, params)
 
-        monkeypatch.setattr(zeta.ZetaCache, "_extend", counting_extend)
+        monkeypatch.setattr(zeta.ZetaCache, "_pass", counting_pass)
         monkeypatch.setattr(zeta, family, counting_family)
         code, _, _ = run(["verify", kind, "--abc", "4,2,3", "--p", "0..2", "--q", "0..2", "--m", "3..17"], capsys)
         assert code == 0
         [cache] = caches
-        tables = {(k, False) for k in cache._strict if k} | {(k, True) for k in cache._star if k}
-        assert sorted(extended) == sorted(tables)
+        # One pass per kind runs every level from 0 to 17 once; no case starts another.
+        assert sorted(passes) == [(tuple(range(3, 18)), False), (tuple(range(3, 18)), True)]
+        assert all(state[0] == 17 for states in cache._states for state in states.values())
         assert sorted(enumerated) == [(i, j) for i in range(3) for j in range(3)]
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import zeta_star_trunc_naive, zeta_trunc_naive
 
-from mzvsums.indices import AbcParams
+from mzvsums.indices import AbcParams, index_family_I
 from mzvsums.zeta import (
     ZetaCache,
     decompositions,
@@ -229,7 +229,7 @@ SMALL_INDICES = [k for n in range(4) for k in itertools.product(range(1, 4), rep
 
 
 class TestIntegerTables:
-    """The tables hold value_t * lcm(1..t)**weight as ints; checked against the naive oracles."""
+    """The cache holds value_t * lcm(1..t)**weight as ints; checked against the naive oracles."""
 
     def test_stepwise_extension_across_prime_powers_matches_fresh_and_naive(self):
         cache = ZetaCache()
@@ -254,16 +254,12 @@ class TestIntegerTables:
                 assert loaded.zeta(k, m) == ZetaCache().zeta(k, m), (k, m)
                 assert loaded.zeta_star(k, m) == ZetaCache().zeta_star(k, m), (k, m)
 
-    def test_every_entry_is_the_value_times_lcm_power(self):
+    def test_every_state_is_the_value_times_lcm_power(self):
         cache = ZetaCache()
         for k in SMALL_INDICES:
             assert cache.scaled(k, 10, False) == zeta_trunc_naive(k, 10) * cache.lcm(10) ** sum(k)
             cache.zeta_star(k, 10)
-        for tables, naive in ((cache._strict, zeta_trunc_naive), (cache._star, zeta_star_trunc_naive)):
-            for k, tab in tables.items():
-                for m, entry in enumerate(tab):
-                    assert type(entry) is int
-                    assert Fraction(entry, cache.lcm(m) ** sum(k)) == naive(k, m), (k, m)
+        _assert_states_exact(cache)
 
     def test_lcm_list(self):
         cache = ZetaCache()
@@ -290,50 +286,66 @@ class TestIntegerTables:
                 assert {sum(k) for k in index_family_J(p, q, params)} == {b + c * (2 * p + q)}
 
 
-class TestPowerLists:
-    """The per-weight lists of (L_t // L_(t-1))**w, shared by every table of weight w, strict and star."""
+def _assert_states_exact(cache):
+    """Every state [t, N_(t-1), N_t] of the cache holds the naive values at t - 1 and t."""
+    for star, naive in ((False, zeta_trunc_naive), (True, zeta_star_trunc_naive)):
+        for k, (t, n0, n1) in cache._states[star].items():
+            assert all(type(v) is int for v in (t, n0, n1)), k
+            assert Fraction(n1, cache.lcm(t) ** sum(k)) == naive(k, t), (k, t, star)
+            if t:
+                assert Fraction(n0, cache.lcm(t - 1) ** sum(k)) == naive(k, t - 1), (k, t, star)
 
-    # Weights 3 and 4 are each shared by strict and star tables, and by suffixes whose tails differ.
+
+class TestRunningState:
+    """One state per suffix and kind, [t, N_(t-1), N_t]: memory does not grow with the cutoff."""
+
+    # Weights 3 and 4 are each shared by strict and star suffixes, and by suffixes whose tails differ.
     WORDS = [(3,), (2, 1), (1, 2), (1, 1, 1), (4,), (3, 1), (1, 3), (2, 2), (2, 1, 1), (1, 2, 1)]
 
-    def _stepped(self) -> ZetaCache:
-        """A cache filled at 3, then 9, then 16 (crossing the prime powers 4, 5, 7, 8, 9, 11, 13, 16)."""
-        cache = ZetaCache()
+    def test_stepped_fills_match_one_fill_and_the_naive_oracles(self):
+        # Filled at 3, then 9, then 16 (crossing the prime powers 4, 5, 7, 8, 9, 11, 13, 16), kinds interleaved.
+        stepped, fresh = ZetaCache(), ZetaCache()
         for m in (3, 9, 16):
-            for i, k in enumerate(self.WORDS):  # star and strict requests interleaved
+            for i, k in enumerate(self.WORDS):
                 star = (i + m) % 2 == 0
-                cache.scaled(k, m, star)
-                cache.scaled(k, m, not star)
-        return cache
+                stepped.scaled(k, m, star)
+                stepped.scaled(k, m, not star)
+        for star in (False, True):
+            fresh.fill(self.WORDS, 16, star)
+        assert stepped._states == fresh._states
+        _assert_states_exact(stepped)
 
-    def test_stepped_cache_matches_one_fill_and_the_naive_oracles(self):
-        stepped, fresh = self._stepped(), ZetaCache()
-        for k in self.WORDS:
-            fresh.scaled(k, 16, False)
-            fresh.scaled(k, 16, True)
-        assert stepped._strict == fresh._strict and stepped._star == fresh._star
-        for m in (3, 4, 9, 13, 16):
-            for k in self.WORDS:
-                assert stepped.zeta(k, m) == zeta_trunc_naive(k, m), (k, m)
-                assert stepped.zeta_star(k, m) == zeta_star_trunc_naive(k, m), (k, m)
-
-    def test_star_tables_build_no_power_list_for_their_tails(self):
-        # Only the strict recurrence rescales the tail's table, so a star fill of (2, 3) needs the
-        # weights 3 and 5 alone; the weight 0 of the empty tail under (3,) gets no list.
+    def test_a_set_fill_reads_every_word_and_keeps_three_numbers_per_suffix(self):
         cache = ZetaCache()
-        cache.zeta_star((2, 3), 10)
-        assert sorted(cache._powers) == [3, 5]
+        for m in (0, 5, 12):
+            for star, naive in ((False, zeta_trunc_naive), (True, zeta_star_trunc_naive)):
+                got = cache.fill([(), *self.WORDS], m, star)
+                assert got == [naive(k, m) * cache.lcm(m) ** sum(k) for k in [(), *self.WORDS]], (m, star)
+        suffixes = {k[i:] for k in self.WORDS for i in range(len(k))}
+        assert set(cache._states[False]) == set(cache._states[True]) == suffixes
+        assert all(len(state) == 3 and state[0] == 12 for states in cache._states for state in states.values())
+        _assert_states_exact(cache)
 
-    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
-    def test_load_refuses_a_damaged_last_entry(self, tmp_path, star):
-        cache = self._stepped()
-        path = tmp_path / "tables.pkl"
-        cache.save(path)
-        assert ZetaCache.load(path).zeta((1, 2, 1), 16) == zeta_trunc_naive((1, 2, 1), 16)
-        (cache._star if star else cache._strict)[(1, 2, 1)][-1] += 1  # cutoff 16, a prime power
-        cache.save(path)
-        with pytest.raises(ValueError, match=r"the table of \(1, 2, 1\) fails its recurrence at cutoff 16"):
-            ZetaCache.load(path)
+    def test_a_chain_at_a_large_cutoff_allocates_little(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            value = ZetaCache().zeta_star((2,) * 6, 1500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value.denominator.bit_length() > 20000  # the value alone is kilobytes
+        assert peak < 1_000_000, peak  # the per-cutoff tables held about 8.5 MB here
+
+    def test_a_word_set_advanced_past_a_prime_power_one_level_at_a_time(self):
+        cache = ZetaCache()
+        for m in range(33):  # every level from its predecessor: 16, 25, 27 and 32 included
+            for star, naive in ((False, zeta_trunc_naive), (True, zeta_star_trunc_naive)):
+                cache.fill([(2, 1, 1), (1, 3)], m, star)
+                if m in (15, 16, 17, 25, 27, 32):
+                    assert cache.scaled((2, 1, 1), m, star) == naive((2, 1, 1), m) * cache.lcm(m) ** 4, (m, star)
+        _assert_states_exact(cache)
 
 
 FILL_WORDS = [k for n in range(5) for k in itertools.product((1, 2, 3), repeat=n)]
@@ -365,13 +377,6 @@ def naive_fill_values():
     }
 
 
-def _parent_layout_tables(words, m, star):
-    """Every suffix of every word filled to m from the oracles, as the fill before zero prefixes left them."""
-    naive = zeta_star_trunc_naive if star else zeta_trunc_naive
-    suffixes = {k[i:] for k in words for i in range(len(k) + 1)}
-    return {suf: [int(naive(suf, t) * math.lcm(*range(1, t + 1)) ** sum(suf)) for t in range(m + 1)] for suf in suffixes}
-
-
 class TestFill:
     """A fill walks from the nearest suffix filled past the cutoff; strict tables are born with their zeros."""
 
@@ -381,23 +386,53 @@ class TestFill:
         for k, m, star in _fill_orders()[order]:
             got = cache.zeta_star(k, m) if star else cache.zeta(k, m)
             assert got == naive_fill_values[k, m, star], (k, m, star)
-        fresh = ZetaCache()
-        for k in FILL_WORDS:
-            fresh.scaled(k, 8, False)
-            fresh.scaled(k, 8, True)
-        assert cache._strict == fresh._strict and cache._star == fresh._star
+        _assert_states_exact(cache)
 
-    def test_strict_table_below_its_length_is_zero_and_extends_like_a_fresh_fill(self):
+    @pytest.mark.parametrize("order", ["ascending", "descending", "one-set"])
+    def test_every_cutoff_by_word_sets_matches_the_naive_oracles(self, order, naive_fill_values):
+        # Word sets of three words sharing suffixes; a descending cutoff refills a set's closure from 0.
+        cache = ZetaCache()
+        sets = [FILL_WORDS] if order == "one-set" else [FILL_WORDS[i:i + 3] for i in range(0, len(FILL_WORDS), 3)]
+        cutoffs = list(reversed(FILL_CUTOFFS)) if order == "descending" else list(FILL_CUTOFFS)
+        for m in cutoffs:
+            for star in (False, True):
+                for words in sets:
+                    got = cache.fill(words, m, star)
+                    assert got == [naive_fill_values[k, m, star] * cache.lcm(m) ** sum(k) for k in words], (words, m)
+        _assert_states_exact(cache)
+
+    def test_sweeps_refuse_cutoffs_that_do_not_increase_and_fill_reads_any_iterable(self):
+        cache = ZetaCache()
+        for cutoffs in ([3, 2], [4, 4], [-1, 2]):
+            with pytest.raises(ValueError, match="cutoffs must be non-negative and increase"):
+                list(cache.sweep([(2,)], True, cutoffs))
+            with pytest.raises(ValueError, match="cutoffs must be non-negative and increase"):
+                list(cache.sweep_identities(index_family_I, ((1, 1),), P312, cutoffs))
+        assert cache.fill(iter([(2,), (1, 2), ()]), 5, False) == [5269, 333000, 1]  # times lcm(1..5)**weight
+
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    def test_a_chain_whose_shared_suffix_another_set_moved_is_refilled(self, star):
+        naive = zeta_star_trunc_naive if star else zeta_trunc_naive
+        cache = ZetaCache()
+        cache.fill([(1, 2, 3), (3, 2, 3)], 8, star)
+        cache.fill([(2, 3)], 3, star)  # moves the suffix (2, 3) the first set shares, and (3,)
+        assert cache._states[star][(1, 2, 3)][0] == 8 and cache._states[star][(2, 3)][0] == 3
+        for m in (8, 9, 12):
+            got = cache.fill([(1, 2, 3), (3, 2, 3)], m, star)
+            assert got == [naive(k, m) * cache.lcm(m) ** sum(k) for k in ((1, 2, 3), (3, 2, 3))], m
+        _assert_states_exact(cache)
+
+    def test_strict_value_below_its_length_is_zero_and_extends_like_a_fresh_fill(self):
         cache = ZetaCache()
         k = (2, 3, 1, 2, 2)
         for m in range(len(k)):  # no strictly decreasing 5-tuple fits under m < 5
             assert cache.scaled(k, m, False) == 0
-        assert cache._strict == {k: [0] * 5}  # born with its zero prefix; no suffix was read
+        assert cache._states[False][k] == [4, 0, 0]
         for m in (5, 6, 12):
             assert cache.zeta(k, m) == zeta_trunc_naive(k, m), m
             fresh = ZetaCache()
             fresh.scaled(k, m, False)
-            assert cache._strict[k] == fresh._strict[k], m
+            assert cache._states[False] == fresh._states[False], m
 
     @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
     def test_parent_of_a_suffix_filled_one_cutoff_short(self, star):
@@ -415,43 +450,78 @@ class TestFill:
         assert ZetaCache().scaled(k, 3, False) == 0
         assert ZetaCache().scaled(k, 1, True) == 1
 
-    def test_load_refuses_a_non_zero_entry_in_a_strict_prefix(self, tmp_path):
-        cache = ZetaCache()
-        cache.scaled((3, 1, 2), 9, False)
-        path = tmp_path / "tables.pkl"
-        cache._strict[(3, 1, 2)][1] = 7  # cutoff 1, below the length 3; the last entry stays right
-        cache.save(path)
-        with pytest.raises(ValueError, match=r"the table of \(3, 1, 2\) has a non-zero entry below cutoff 3"):
-            ZetaCache.load(path)
 
-    def test_load_accepts_tables_born_with_their_prefix_and_no_suffix_tables(self, tmp_path):
+
+class TestCacheFile:
+    """``save`` keeps the chains at one cutoff; ``load`` checks every state's last step."""
+
+    WORDS = [(3, 1, 2), (2, 1, 3), (1, 1), (2, 2, 2, 2, 2)]
+
+    def _saved(self, tmp_path):
         cache = ZetaCache()
-        cache.scaled((2, 2, 2, 2, 2), 3, False)
-        cache.scaled((2, 2), 0, True)
-        assert cache._strict == {(2, 2, 2, 2, 2): [0] * 5} and cache._star == {(2, 2): [0]}
-        path = tmp_path / "tables.pkl"
+        for star in (False, True):
+            cache.fill(self.WORDS, 9, star)
+        path = tmp_path / "states.pkl"
         cache.save(path)
+        return cache, path
+
+    def test_a_loaded_cache_reads_and_extends_like_a_fresh_one(self, tmp_path):
+        cache, path = self._saved(tmp_path)
         loaded = ZetaCache.load(path)
-        assert loaded.zeta((2, 2, 2, 2, 2), 7) == zeta_trunc_naive((2, 2, 2, 2, 2), 7)
-        assert loaded.zeta_star((2, 2), 7) == zeta_star_trunc_naive((2, 2), 7)
+        assert loaded._states == cache._states
+        for k in self.WORDS:
+            for t in (9, 10, 16, 4):
+                assert loaded.zeta(k, t) == zeta_trunc_naive(k, t), (k, t)
+                assert loaded.zeta_star(k, t) == zeta_star_trunc_naive(k, t), (k, t)
 
-    def test_load_accepts_the_tables_of_a_fill_without_zero_prefixes(self, tmp_path):
-        # Before tables were born with their zeros, every suffix was filled from [0]: a strict table could be
-        # shorter than its word, and the zeros below the word's length were computed.
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    def test_load_refuses_any_altered_number(self, tmp_path, star):
+        import pickle
+
+        _, path = self._saved(tmp_path)
+        tag, *kinds = pickle.loads(path.read_bytes())
+        for k in kinds[star]:
+            for field in range(3):
+                altered = [{key: list(state) for key, state in states.items()} for states in kinds]
+                altered[star][k][field] += 1
+                path.write_bytes(pickle.dumps((tag, *altered)))
+                with pytest.raises(ValueError, match=r"^the state of \(.* (fails its recurrence|has no state of)"):
+                    ZetaCache.load(path)
+
+    def test_save_keeps_only_chains_at_one_cutoff(self, tmp_path):
+        import pickle
+
+        cache = ZetaCache()
+        cache.fill([(1, 2, 3), (3, 2, 3)], 8, True)
+        cache.fill([(2, 3)], 3, True)  # (2, 3) and (3,) now sit at 3, under words at 8
+        cache.fill([(4,)], 0, False)  # a chain at cutoff 0 holds nothing to check
+        path = tmp_path / "states.pkl"
+        cache.save(path)
+        _, strict, star = pickle.loads(path.read_bytes())
+        assert strict == {} and sorted(star) == [(2, 3), (3,)]
+        assert ZetaCache.load(path).zeta_star((2, 3), 3) == zeta_star_trunc_naive((2, 3), 3)
+
+    def test_load_refuses_a_mixed_chain(self, tmp_path):
         import pickle
 
         from mzvsums.zeta import _CACHE_FORMAT
 
-        words = [(3, 1, 2, 1), (2, 1, 3), (1, 1)]
+        cache = ZetaCache()
+        cache.fill([(1, 2, 3), (3, 2, 3)], 8, True)
+        cache.fill([(2, 3)], 3, True)
+        path = tmp_path / "states.pkl"
+        path.write_bytes(pickle.dumps((_CACHE_FORMAT, {}, cache._states[True])))
+        with pytest.raises(ValueError, match=r"the state of \(1, 2, 3\) has no state of \(2, 3\) at cutoff 8"):
+            ZetaCache.load(path)
+
+    def test_load_refuses_the_per_cutoff_tables_of_the_int_1_format(self, tmp_path):
+        import pickle
+
         path = tmp_path / "tables.pkl"
-        for m in (0, 2, 5):
-            strict, star = _parent_layout_tables(words, m, False), _parent_layout_tables(words, m, True)
-            path.write_bytes(pickle.dumps((_CACHE_FORMAT, strict, star)))
-            loaded = ZetaCache.load(path)
-            for k in words:
-                for t in (m, m + 1, 9):
-                    assert loaded.zeta(k, t) == zeta_trunc_naive(k, t), (k, m, t)
-                    assert loaded.zeta_star(k, t) == zeta_star_trunc_naive(k, t), (k, m, t)
+        tables = {(2,): [0, 1, 5], (): [1, 1, 1]}
+        path.write_bytes(pickle.dumps(("mzvsums-zeta-cache/int-1", tables, tables)))
+        with pytest.raises(ValueError, match="not a zeta cache in format"):
+            ZetaCache.load(path)
 
 
 class TestFamilyMemo:
