@@ -71,14 +71,16 @@ class ZetaCache:
 
     ``fill(words, m, star)`` brings a word set to cutoff m through its
     suffix closure, level by level, from the cutoff t0 <= m that every
-    suffix in it shares, else from 0: each level computes (L_t // t)**k_1
-    per first letter and, at prime powers, r_t**w per weight, then updates
-    star suffixes shortest first (they read the sub's new value) and strict
-    ones longest first (the old one).  So a lower cutoff, or a chain whose
-    shared suffix another set moved, refills from 0, and callers that read
-    several cutoffs pass them in ascending order over the union of their
-    words (``sweep``, ``sweep_identities``).  A set's plan is built once per
-    cache, beside the ratios r_t = L_t // L_(t-1) and each family's members.
+    suffix in it shares, else from 0.  An identity's set holds star and
+    strict words over shared suffixes; one pass advances its closure in both
+    kinds, each level computing (L_t // t)**k_1 per first letter and, at
+    prime powers, r_t**w per weight once, then updating star suffixes
+    shortest first (they read the sub's new value) and strict ones longest
+    first (the old one).  So a lower cutoff, or a chain whose shared suffix
+    another set moved, refills from 0, and callers that read several cutoffs
+    pass them ascending over the union of their words (``sweep``,
+    ``sweep_identities``).  A set's plan is built once per cache, beside the
+    ratios r_t = L_t // L_(t-1) and each family's members.
 
     ``save`` writes ``(_CACHE_FORMAT, strict states, star states)``
     atomically, only the chains whose suffixes all sit at one cutoff t >= 1.
@@ -92,7 +94,7 @@ class ZetaCache:
 
     def __init__(self):
         self._states: tuple[dict, dict] = ({}, {})  # [strict, star]: suffix -> [t, N_(t-1), N_t]
-        self._sets: dict[tuple, list] = {}  # (key, star) -> [states of the non-empty words, words, plan or None]
+        self._sets: dict[tuple, list] = {}  # key -> [states of the non-empty words, (strict, star words), plan or None]
         self._ratios: list[int] = [1]  # r_t = L_t // L_(t-1)
         self._ratio_lcm = 1  # L_t at the last t of _ratios
         self._lcms: dict[int, int] = {0: 1}  # L_t at the cutoffs filled or asked for
@@ -117,7 +119,7 @@ class ZetaCache:
         for k in words:
             state = states.get(k)
             if (state is None or state[0] != m) and k:
-                self._fill(self._set(words, star, words), m, star)
+                self._fill(self._set((words, star), {star: words}), m)
                 break
         return [states[k][2] if k else 1 for k in words]
 
@@ -125,48 +127,46 @@ class ZetaCache:
         """Yield each of the ascending ``cutoffs`` once every word of ``words`` sits there: one pass."""
         _check_ascending(cutoffs)
         words = tuple(words)
-        yield from self._pass(self._set(words, star, words), cutoffs, star)
+        yield from self._pass(self._set((words, star), {star: words}), cutoffs)
 
     def sweep_identities(self, family, cells: tuple, params: AbcParams, cutoffs):
         """Yield each of the ascending ``cutoffs`` once the words of the (p, q) identity over ``family``
-        of every cell of ``cells`` sit there: one pass per kind over their union.  Star: the (p, q)
+        of every cell of ``cells`` sit there: one pass over both kinds of their union.  Star: the (p, q)
         families and the c-runs up to length 2p + q; strict: the (i, j) families of ``identity_terms``.
         """
         _check_ascending(cutoffs)
-        passes = [self._pass(self._identity_set(family, cells, params, star), cutoffs, star) for star in (True, False)]
-        for m, _ in zip(*passes):
-            yield m
+        yield from self._pass(self._identity_set(family, cells, params), cutoffs)
 
-    def _identity_set(self, family, cells: tuple, params: AbcParams, star: bool) -> list:
-        key = (family, cells, params)
-        return self._sets.get((key, star)) or self._set(key, star, (
-            w for p, q in cells
-            for words in ((self.members(family, p, q, params), [(params.c,) * r for r in range(2 * p + q + 1)])
-                          if star else [self.members(family, i, j, params) for i, j, _ in identity_terms(p, q)])
-            for w in words))
+    def _identity_set(self, family, cells: tuple, params: AbcParams) -> list:
+        return self._set((family, cells, params), {
+            False: (k for p, q in cells for i, j, _ in identity_terms(p, q)
+                    for k in self.members(family, i, j, params)),
+            True: (k for p, q in cells for k in (*self.members(family, p, q, params),
+                                                 *[(params.c,) * r for r in range(2 * p + q + 1)]))})
 
-    def _set(self, key, star: bool, words) -> list:
-        """The word set named ``key``, made from ``words`` (read only here) on first use."""
-        found = self._sets.get((key, star))
+    def _set(self, key, kinds: dict) -> list:
+        """The word set named ``key``, made on first use from ``kinds`` (star -> words, read only here)."""
+        found = self._sets.get(key)
         if found is None:
-            words = tuple(dict.fromkeys(words))
-            states = self._states[star]
-            found = self._sets[key, star] = [[states.setdefault(k, [0, 0, 0]) for k in words if k], words, None]
+            words = tuple(tuple(dict.fromkeys(kinds.get(star, ()))) for star in (False, True))
+            found = self._sets[key] = [[self._states[star].setdefault(k, [0, 0, 0])
+                                        for star, kind in enumerate(words) for k in kind if k], words, None]
         return found
 
-    def _fill(self, word_set: list, m: int, star: bool) -> None:
+    def _fill(self, word_set: list, m: int) -> None:
         """Bring the set's words to m, unless they all sit there."""
         if any(state[0] != m for state in word_set[0]):
-            for _ in self._pass(word_set, (m,), star):
+            for _ in self._pass(word_set, (m,)):
                 pass
 
-    def _pass(self, word_set: list, cutoffs, star: bool):
-        """Advance the set's closure through the ascending ``cutoffs``, from the cutoff it shares, else from 0.
+    def _pass(self, word_set: list, cutoffs):
+        """Advance the set's closure, in each kind it has words of, through the ascending ``cutoffs``,
+        from the cutoff it shares, else from 0, computing each level's factors once for both kinds.
 
         Writes the states and yields at each cutoff; a loop at every depth."""
         if word_set[2] is None:
-            word_set[2] = self._plan(word_set[1], star)
-        chain, tops, steps, k0s, weights = word_set[2]
+            word_set[2] = self._plan(word_set[1])
+        chain, tops, steps, strict_steps, star_steps, k0s, weights = word_set[2]
         if not chain:  # only the empty word
             yield from cutoffs
             return
@@ -192,43 +192,53 @@ class ZetaCache:
                 if r == 1:
                     for i, j, k0, _, _ in steps:
                         vals[i] += fs[k0] * vals[j]
-                elif star:  # shortest first: vals[j] is the sub's value at t
-                    for i, j, k0, w, _ in steps:
+                else:
+                    for i, j, k0, w, _ in star_steps:  # shortest first: vals[j] is the sub's value at t
                         vals[i] = vals[i] * rs[w] + fs[k0] * vals[j]
-                else:  # longest first: vals[j] is the sub's value at t - 1, brought to L_t
-                    for i, j, k0, w, sw in steps:
-                        vals[i] = vals[i] * rs[w] + fs[k0] * vals[j] * rs[sw]
+                    for i, j, k0, w, sw in strict_steps:  # longest first: vals[j] is the sub's value at t - 1
+                        vals[i] = vals[i] * rs[w] + fs[k0] * rs[sw] * vals[j]
             t0 = m
             self._lcms[m] = lt
             for state, i in chain if m == cutoffs[-1] else tops:  # the words alone until the last cutoff
                 state[:] = m, prev[i], vals[i]
             yield m
 
-    def _plan(self, words, star: bool) -> tuple:
-        """(chain, words, steps, first letters, weights) of the words' suffix closure.
+    def _plan(self, words: tuple) -> tuple:
+        """(chain, words, steps, strict steps, star steps, first letters, weights) of the suffix
+        closure of the strict and star ``words`` together, in each kind with words.
 
-        A walk from each word's last letter gives each new suffix the next slot,
-        so a sub's slot (0 for the empty word) is below its suffix's.  A step
+        A walk from each word back to its longest suffix already in the closure
+        gives the suffixes beyond it the next slots, shortest first, so a sub's
+        slot (0 for the empty word) is below its suffix's.  A step
         (i, j, k0, w, w - k0) updates slot i, of first letter k0 and weight w,
         from its sub's slot j: star steps in slot order, strict ones reversed.
+        The star values follow the strict ones, their slots shifted past them.
         """
-        states = self._states[star]
-        slots: dict[tuple[int, int], int] = {}  # (first letter, sub's slot) -> slot
-        chain, tops, steps = [], [], []
-        for k in words:
-            j = w = 0  # the sub's slot and weight
-            for i in range(len(k) - 1, -1, -1):
-                k0 = k[i]
-                i_slot = slots.setdefault((k0, j), len(slots) + 1)
-                if i_slot > len(steps):
-                    steps.append((i_slot, j, k0, w + k0, w))
-                    chain.append((states.setdefault(k[i:], [0, 0, 0]), i_slot))
-                j, w = i_slot, w + k0
-            if k:
-                tops.append((chain[j - 1][0], j))
-        k0s = {step[2] for step in steps}
-        weights = {w for step in steps for w in step[3:]}
-        return chain, tops, steps if star else steps[::-1], k0s, weights
+        slots, steps = {(): 0}, []
+        for k in words[0] + words[1]:
+            n, sub = 0, k
+            while sub not in slots:
+                n += 1
+                sub = k[n:]
+            if n:
+                j, w = slots[sub], sum(sub)
+                for n in range(n - 1, -1, -1):
+                    k0 = k[n]
+                    i = slots[k[n:]] = len(slots)
+                    w += k0
+                    steps.append((i, j, k0, w, w - k0))
+                    j = i
+        base, chain, tops, kinds = 0, [], [], [[], []]
+        for star, kind in enumerate(words):
+            if kind:
+                states, ordered = self._states[star], steps if star else steps[::-1]
+                chain += [(states.setdefault(k, [0, 0, 0]), base + i) for k, i in slots.items() if i]
+                tops += [(states[k], base + slots[k]) for k in kind if k]
+                kinds[star] = [(base + i, base + j if j else 0, k0, w, sw)
+                               for i, j, k0, w, sw in ordered] if base else ordered
+                base += len(steps)
+        return (chain, tops, kinds[0] + kinds[1], *kinds,
+                {step[2] for step in steps}, {0, *(step[3] for step in steps)})  # a sub's weight is 0 or a slot's
 
     def members(self, family, i: int, j: int, params: AbcParams) -> IndexMultiset:
         """``family(i, j, params)`` (``index_family_I`` or ``_J``), enumerated once per cache."""
@@ -242,7 +252,7 @@ class ZetaCache:
         """The (i, j) family sum at cutoff m times lcm(1..m)**weight; every member has that weight."""
         if m < 0:  # every family sum and identity check starts here
             raise ValueError(f"cutoff m must be non-negative, got {m}")
-        self._fill(self._set((family, i, j, params), star, self.members(family, i, j, params)), m, star)
+        self._fill(self._set(((family, i, j, params), star), {star: self.members(family, i, j, params)}), m)
         return self._family_at(family, i, j, params, star)
 
     def _family_at(self, family, i: int, j: int, params: AbcParams, star: bool) -> int:
@@ -420,7 +430,7 @@ def _verify_identity(p, q, m, params, family, cache) -> IdentityReport:
 
     Every term has the weight of the left side, so each side is a sum of
     scaled numerators over lcm(1..m)**weight.  The words of both sides are
-    filled together, one fill per kind; the right side reads the groups of
+    filled together, both kinds in one pass; the right side reads the groups of
     ``identity_terms``: one family sum per (i, j), times its weighted sum of
     star-run products.
     """
@@ -428,8 +438,7 @@ def _verify_identity(p, q, m, params, family, cache) -> IdentityReport:
         cache = ZetaCache()
     if m < 0:
         raise ValueError(f"cutoff m must be non-negative, got {m}")
-    for star in (True, False):
-        cache._fill(cache._identity_set(family, ((p, q),), params, star), m, star)
+    cache._fill(cache._identity_set(family, ((p, q),), params), m)
     lhs = cache._family_at(family, p, q, params, True)
     runs = cache.fill([(params.c,) * r for r in range(2 * p + q + 1)], m, True)
     rhs = sum(

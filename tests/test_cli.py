@@ -498,10 +498,10 @@ class TestSweepOrder:
         caches = set()
         original_pass = zeta.ZetaCache._pass
 
-        def counting_pass(self, word_set, cutoffs, star):
-            passes.append((tuple(cutoffs), star))
+        def counting_pass(self, word_set, cutoffs):
+            passes.append((tuple(cutoffs), tuple(bool(words) for words in word_set[1])))  # (strict, star) words
             caches.add(self)
-            return original_pass(self, word_set, cutoffs, star)
+            return original_pass(self, word_set, cutoffs)
 
         enumerated = []
         original_family = getattr(zeta, family)
@@ -515,8 +515,8 @@ class TestSweepOrder:
         code, _, _ = run(["verify", kind, "--abc", "4,2,3", "--p", "0..2", "--q", "0..2", "--m", "3..17"], capsys)
         assert code == 0
         [cache] = caches
-        # One pass per kind runs every level from 0 to 17 once; no case starts another.
-        assert sorted(passes) == [(tuple(range(3, 18)), False), (tuple(range(3, 18)), True)]
+        # One pass over both kinds runs every level from 0 to 17 once; no case starts another.
+        assert passes == [(tuple(range(3, 18)), (True, True))]
         assert all(state[0] == 17 for states in cache._states for state in states.values())
         assert sorted(enumerated) == [(i, j) for i in range(3) for j in range(3)]
 

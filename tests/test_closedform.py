@@ -87,6 +87,7 @@ class TestBeta:
     def test_matches_truncated_star_runs_numerically(self):
         # beta_r is the limit of zeta*_m({2}^r) / pi^(2r); loose check at m=2000.
         cache = ZetaCache()
+        cache.fill([(2,) * r for r in (1, 2, 3)], 2000, True)  # one set; one word at a time refills the shared chain
         for r in (1, 2, 3):
             truncated = float(zeta_star_trunc((2,) * r, 2000, cache)) / math.pi ** (2 * r)
             assert abs(truncated - float(beta(r))) < 0.01 * float(beta(r))

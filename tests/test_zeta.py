@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import zeta_star_trunc_naive, zeta_trunc_naive
 
-from mzvsums.indices import AbcParams, index_family_I
+from mzvsums.indices import AbcParams, index_family_I, index_family_J
 from mzvsums.zeta import (
     ZetaCache,
     decompositions,
@@ -522,6 +522,83 @@ class TestCacheFile:
         path.write_bytes(pickle.dumps(("mzvsums-zeta-cache/int-1", tables, tables)))
         with pytest.raises(ValueError, match="not a zeta cache in format"):
             ZetaCache.load(path)
+
+
+def _assert_states_fresh(cache):
+    """Every state of the cache equals the state a fresh fill of its suffix alone leaves at its cutoff."""
+    for star in (False, True):
+        for k, state in cache._states[star].items():
+            fresh = ZetaCache()
+            fresh.scaled(k, state[0], star)
+            assert fresh._states[star][k] == state, (k, state[0], star)
+
+
+def _identity_words(cache, family, cells, params):
+    """The identity's (strict words, star words) over ``cells``, as ``sweep_identities`` advances them."""
+    strict = [k for p, q in cells for i, j, _ in identity_terms(p, q) for k in cache.members(family, i, j, params)]
+    star = [k for p, q in cells
+            for k in (*cache.members(family, p, q, params), *[(params.c,) * r for r in range(2 * p + q + 1)])]
+    return strict, star
+
+
+class TestBothKinds:
+    """An identity's star and strict words share one closure, advanced in both kinds by one pass."""
+
+    CELLS = tuple((p, q) for p in range(4) for q in range(4))
+
+    @pytest.mark.parametrize("params", [*ACCEPTANCE_TRIPLES, AbcParams(6, 2, 4)], ids=str)
+    @pytest.mark.parametrize("family", [index_family_I, index_family_J], ids=["I", "J"])
+    def test_a_pass_stepped_across_prime_powers_matches_single_kind_fills_and_the_naive_oracles(self, params, family):
+        both = ZetaCache()
+        strict, star = _identity_words(both, family, self.CELLS, params)
+        for m in both.sweep_identities(family, self.CELLS, params, (0, 7, 9, 16, 17)):  # each step crosses prime powers
+            single = ZetaCache()  # each kind filled alone, over the union of the words
+            single.fill(strict + star, m, False)
+            single.fill(star + strict, m, True)
+            for kind, words in ((False, strict), (True, star)):
+                for k in words:
+                    assert both._states[kind].get(k, [0, 0, 1]) == (single._states[kind][k] if k else [0, 0, 1]), (k, m)
+                    if len(k) <= 3:
+                        naive = zeta_star_trunc_naive if kind else zeta_trunc_naive
+                        assert both.scaled(k, m, kind) == naive(k, m) * both.lcm(m) ** sum(k), (k, m, kind)
+        assert both._states == single._states  # at the last cutoff every suffix of the closure, in both kinds
+        short = {k for states in both._states for k in states if len(k) <= 3}
+        assert short and all(both._states[kind][k][0] == 17 for kind in (False, True) for k in short)
+        for k in short:
+            assert both.zeta(k, 17) == zeta_trunc_naive(k, 17) and both.zeta_star(k, 17) == zeta_star_trunc_naive(k, 17)
+
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    @pytest.mark.parametrize("identity_first", [True, False], ids=["identity-first", "single-first"])
+    def test_a_single_kind_set_sharing_suffixes_with_an_identity_set_is_refilled(self, star, identity_first):
+        # s(0, 1) and s(1, 1) are strict words of the (1, 1) identity, s*(1, 1) its star words:
+        # moving them to another cutoff leaves the identity's closure at two cutoffs.
+        family_sum = s_star_direct if star else s_direct
+        cache = ZetaCache()
+        for step, m in enumerate((9, 5, 12, 13, 4, 16)):
+            if (step % 2 == 0) == identity_first:
+                assert verify_identity_s(1, 1, m, P312, cache) == verify_identity_s(1, 1, m, P312, ZetaCache()), m
+            else:
+                for i, j in ((0, 1), (1, 1)):
+                    assert family_sum(i, j, m, P312, cache) == family_sum(i, j, m, P312, ZetaCache()), (i, j, m)
+        _assert_states_fresh(cache)
+
+    @pytest.mark.parametrize("family, check", [(index_family_I, verify_identity_s),
+                                               (index_family_J, verify_identity_t)], ids=["I", "J"])
+    def test_a_cache_saved_after_a_pass_loads_and_extends_like_a_fresh_one(self, tmp_path, family, check):
+        params, cells = AbcParams(5, 1, 3), ((0, 2), (1, 1), (2, 0))
+        cache = ZetaCache()
+        assert list(cache.sweep_identities(family, cells, params, (3, 9))) == [3, 9]
+        path = tmp_path / "states.pkl"
+        cache.save(path)
+        loaded = ZetaCache.load(path)
+        assert loaded._states == cache._states and all(loaded._states)
+        for m in (9, 11, 16):
+            for p, q in cells:
+                assert check(p, q, m, params, loaded) == check(p, q, m, params, ZetaCache()), (p, q, m)
+        fresh = ZetaCache()
+        assert list(loaded.sweep_identities(family, cells, params, (16, 17))) == [16, 17]
+        assert list(fresh.sweep_identities(family, cells, params, (17,))) == [17]
+        assert loaded._states == fresh._states
 
 
 class TestFamilyMemo:
