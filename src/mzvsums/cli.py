@@ -34,10 +34,10 @@ symmetric sweep advances one ``series.GridSweep`` over its ascending
 cutoffs, so each level is computed once and each cutoff's check reads it.  An
 s/t-identity sweep shares one ``ZetaCache`` across its cases (loaded from
 ``--cache`` when given, saved back afterwards).  It and the homomorphism
-sweep go up the cutoffs in ascending order, one pass over the union of
-every case's words (star and strict together), and each case reads its
-values as the pass reaches its cutoff; the report lists the cases per (p, q)
-or sample.  The other kinds keep no zeta values and reject ``--cache``
+sweep go up the cutoffs in ascending order, one pass over the tail classes of
+every case's families and words (star and strict together), and each case
+reads its values as the pass reaches its cutoff; the report lists the cases
+per (p, q) or sample.  The other kinds keep no zeta values and reject ``--cache``
 (exit 2).  So do an empty ``--cache`` path, one whose directory does not
 exist, a cache file that cannot be read, was written by an older version
 or fails a check, and a cache that cannot be written once the sweep is

@@ -229,7 +229,8 @@ def z_eval(u: HPoly, m: int, cache: ZetaCache | None = None) -> Fraction:
     for (w, c), n in zip(u.terms.items(), cache.fill(u.terms, m, False)):  # fill refuses a negative m
         weight = sum(w)
         by_weight[weight] = by_weight.get(weight, 0) + c * n
-    lm, top = cache.lcm(m), max(by_weight, default=0)
+    top = max(by_weight, default=0)
+    lm = cache.lcm(m) if top else 1  # a weight-0 value reads no lcm
     return Fraction(sum(n * lm ** (top - weight) for weight, n in by_weight.items()), lm**top)
 
 

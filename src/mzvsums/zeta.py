@@ -6,8 +6,8 @@ For an index ``k = (k_1, ..., k_n)`` and a cutoff ``m >= 0``::
     zeta_star_trunc(k, m) = sum over m >= m_1 >= ... >= m_n >= 1 of prod m_i**-k_i
 
 Both are exact rationals; the empty index evaluates to 1, and a sum with no
-admissible tuples is 0.  Evaluation is dynamic programming over suffixes,
-driven by the two recurrences
+admissible tuples is 0.  Evaluation is dynamic programming over tails,
+driven by the two recurrences (linear in the tail k_2..k_n)
 
     zeta_m(k)      = zeta_{m-1}(k)      + m**-k_1 * zeta_{m-1}(k_2..k_n)
     zeta_star_m(k) = zeta_star_{m-1}(k) + m**-k_1 * zeta_star_m(k_2..k_n)
@@ -22,8 +22,8 @@ prime power) the recurrences become integer updates:
     N*_t(k) = N*_{t-1}(k) * r**w + (L_t // t)**k_1 * N*_t(k_2..k_n)
 
 A value at cutoff t needs only values at t and t - 1, so ``ZetaCache`` keeps
-running numerators, O(m * weight) bits per word at any cutoff m, and builds
-a ``Fraction`` only where a value leaves the module.  The tests check it
+running numerators, O(m * weight) bits per tail class at any cutoff m, and
+builds a ``Fraction`` only where a value leaves the module.  The tests check it
 against a separately coded brute-force enumerator over monotone tuples.
 
 On top sit the family sums ``s``/``t`` (multiplicity-weighted sums over the
@@ -31,9 +31,9 @@ shuffle families) and the finite-cutoff identity that expresses the star
 family sums through the non-star ones and zeta-star values of constant runs
 ``(c, c, ..., c)``.  All members of a family share one weight, and every
 term of the identity has the weight of its left side (c(2p+q) for ``s``,
-b + c(2p+q) for ``t``), so a family sum is one sum of scaled numerators and
-the identity check compares the numerators of its two sides, as integers
-over the common denominator L_m**weight.
+b + c(2p+q) for ``t``), so a family sum is one scaled numerator (of its tail
+class, times an integer) and the identity check compares the numerators of
+its two sides, as integers over the common denominator L_m**weight.
 """
 
 from __future__ import annotations
@@ -65,47 +65,54 @@ __all__ = [
 # First field of a saved cache; a file without it (for instance one holding
 # the per-cutoff tables of earlier versions) is refused.
 _CACHE_FORMAT = "mzvsums-zeta-cache/run-1"
+_EMPTY = (0, 1, 1)  # the empty word's state: 1 at every cutoff
+
 
 class ZetaCache:
-    """Running numerators of truncated zeta(-star) values: per suffix and kind, ``[t, N_(t-1), N_t]``.
+    """Running numerators of truncated zeta(-star) values: per tail class and kind, ``[t, N_(t-1), N_t]``.
 
-    ``fill(words, m, star)`` brings a word set to cutoff m through its
-    suffix closure, level by level, from the cutoff t0 <= m that every
-    suffix in it shares, else from 0.  An identity's set holds star and
-    strict words over shared suffixes; one pass advances its closure in both
-    kinds, each level computing (L_t // t)**k_1 per first letter and, at
-    prime powers, r_t**w per weight once, then updating star suffixes
-    shortest first (they read the sub's new value) and strict ones longest
-    first (the old one).  So a lower cutoff, or a chain whose shared suffix
-    another set moved, refills from 0, and callers that read several cutoffs
-    pass them ascending over the union of their words (``sweep``,
-    ``sweep_identities``).  A set's plan is built once per cache, beside the
-    ratios r_t = L_t // L_(t-1) and each family's members.
+    A request is a word or a family (words of one weight, with multiplicities).
+    Its tail classes are its words' tails after each common prefix, divided by
+    the gcd of their multiplicities, keyed by the word if there is one, else by
+    the frozenset of (word, multiplicity) pairs.  The recurrences are linear in
+    the tail, so a class steps from the class of its tails after each first
+    letter a, times g * (L_t // t)**a, g the ratio of their gcds.  A word's
+    classes are its suffixes; a family has far fewer.  Classes are hash-consed
+    once per cache, so requests share them.
+
+    ``fill(words, m, star)`` brings a request set to cutoff m through its
+    classes' closure, level by level, from the cutoff t0 <= m the closure
+    shares, else from 0.  One pass advances both kinds: at a prime power every
+    class is rescaled by r**w, then strict steps run heaviest class first (they
+    read the sub's old value), star ones lightest first (its new one).  So
+    callers that read several cutoffs pass them ascending over the union of
+    their requests (``sweep``, ``sweep_identities``).  A set's plan is built
+    once per cache, beside the ratios r_t = L_t // L_(t-1) and the families.
 
     ``save`` writes ``(_CACHE_FORMAT, strict states, star states)``
-    atomically, only the chains whose suffixes all sit at one cutoff t >= 1.
-    ``load`` checks the tag, the types and each state's last step against
-    its recurrence (star reads the sub's N_t, strict its N_(t-1)), refuses
-    a state whose sub is missing or at another cutoff, and raises
-    ``ValueError`` (or ``pickle.UnpicklingError``) on any failure.  So one
-    altered number fails the load; only alterations that keep every last
-    step consistent pass, as the N_(t-1) are not re-derived.
+    atomically, only the classes whose closure sits at one cutoff t >= 1.
+    ``load`` checks the tag, the types, that each key is canonical, and each
+    state's last step against its recurrence (star reads the subs' N_t,
+    strict their N_(t-1)), refuses a state whose sub is missing or at another
+    cutoff, and raises ``ValueError`` (or ``pickle.UnpicklingError``) on any
+    failure.  So one altered number fails the load; only alterations that
+    keep every last step consistent pass, as the N_(t-1) are not re-derived.
     """
 
     def __init__(self):
-        self._states: tuple[dict, dict] = ({}, {})  # [strict, star]: suffix -> [t, N_(t-1), N_t]
-        self._sets: dict[tuple, list] = {}  # key -> [states of the non-empty words, (strict, star words), plan or None]
+        self._states: tuple[dict, dict] = ({}, {})  # [strict, star]: class key -> [t, N_(t-1), N_t]
+        self._classes: dict = {(): (0, ())}  # class key -> (weight, ((first letter, sub key, g), ...))
+        self._sets: dict[tuple, list] = {}  # key -> see _set
         self._ratios: list[int] = [1]  # r_t = L_t // L_(t-1)
         self._ratio_lcm = 1  # L_t at the last t of _ratios
         self._lcms: dict[int, int] = {0: 1}  # L_t at the cutoffs filled or asked for
         self._members: dict[tuple, IndexMultiset] = {}  # (family, i, j, params) -> the family
-        self._terms: dict[tuple, list] = {}  # (family, i, j, params, star) -> [(multiplicity, member state)]
 
     def zeta(self, k: Index, m: int) -> Fraction:
-        return Fraction(self.scaled(k, m, False), self.lcm(m) ** sum(k))
+        return Fraction(self.scaled(k, m, False), self._den(m, sum(k)))
 
     def zeta_star(self, k: Index, m: int) -> Fraction:
-        return Fraction(self.scaled(k, m, True), self.lcm(m) ** sum(k))
+        return Fraction(self.scaled(k, m, True), self._den(m, sum(k)))
 
     def scaled(self, k: Index, m: int, star: bool) -> int:
         """The zeta (or zeta-star) value of k at cutoff m, times lcm(1..m)**weight(k)."""
@@ -113,70 +120,92 @@ class ZetaCache:
 
     def fill(self, words, m: int, star: bool) -> list[int]:
         """The scaled values of ``words`` (indices) at cutoff m, filled as one set if any is not there."""
-        if m < 0:
-            raise ValueError(f"cutoff m must be non-negative, got {m}")
-        states, words = self._states[star], tuple(words)
-        for k in words:
-            state = states.get(k)
-            if (state is None or state[0] != m) and k:
-                self._fill(self._set((words, star), {star: words}), m)
-                break
-        return [states[k][2] if k else 1 for k in words]
+        words = tuple(words)
+        word_set = self._set((words, star), lambda: {star: words})
+        self._fill(word_set, m)
+        return [state[2] for _, state, _ in word_set[1][star]]
 
     def sweep(self, words, star: bool, cutoffs):
         """Yield each of the ascending ``cutoffs`` once every word of ``words`` sits there: one pass."""
         _check_ascending(cutoffs)
         words = tuple(words)
-        yield from self._pass(self._set((words, star), {star: words}), cutoffs)
+        yield from self._pass(self._set((words, star), lambda: {star: words}), cutoffs)
 
     def sweep_identities(self, family, cells: tuple, params: AbcParams, cutoffs):
-        """Yield each of the ascending ``cutoffs`` once the words of the (p, q) identity over ``family``
-        of every cell of ``cells`` sit there: one pass over both kinds of their union.  Star: the (p, q)
-        families and the c-runs up to length 2p + q; strict: the (i, j) families of ``identity_terms``.
-        """
+        """Yield each ascending cutoff once the identities of ``cells`` over ``family`` can be read: one pass."""
         _check_ascending(cutoffs)
         yield from self._pass(self._identity_set(family, cells, params), cutoffs)
 
     def _identity_set(self, family, cells: tuple, params: AbcParams) -> list:
-        return self._set((family, cells, params), {
-            False: (k for p, q in cells for i, j, _ in identity_terms(p, q)
-                    for k in self.members(family, i, j, params)),
-            True: (k for p, q in cells for k in (*self.members(family, p, q, params),
-                                                 *[(params.c,) * r for r in range(2 * p + q + 1)]))})
+        """Strict: the (i, j) families of ``identity_terms``; star: each (p, q) family, then its c-runs by length."""
+        return self._set((family, cells, params), lambda: {
+            False: [self.members(family, i, j, params)
+                    for i, j in dict.fromkeys((i, j) for p, q in cells for i, j, _ in identity_terms(p, q))],
+            True: [request for p, q in cells for request in (self.members(family, p, q, params),
+                                                            *[(params.c,) * r for r in range(2 * p + q + 1)])]})
 
-    def _set(self, key, kinds: dict) -> list:
-        """The word set named ``key``, made on first use from ``kinds`` (star -> words, read only here)."""
+    def _set(self, key, kinds) -> list:
+        """The request set named ``key``, made on first use from ``kinds()`` (star -> words or families):
+        [states of its classes, per kind the (g, state, class key) of each request, plan]."""
         found = self._sets.get(key)
         if found is None:
-            words = tuple(tuple(dict.fromkeys(kinds.get(star, ()))) for star in (False, True))
-            found = self._sets[key] = [[self._states[star].setdefault(k, [0, 0, 0])
-                                        for star, kind in enumerate(words) for k in kind if k], words, None]
+            reads = ([], [])
+            for star, requests in kinds().items():
+                for request in requests:
+                    k, g = self._class(request) if isinstance(request, dict) else (request, 1)
+                    reads[star].append((g, self._states[star].setdefault(k, [0, 0, 0]) if k else _EMPTY, k))
+            found = self._sets[key] = [[state for kind in reads for _, state, k in kind if k], reads, None]
         return found
 
+    def _class(self, family: dict) -> tuple:
+        """(key, g) of a family {word: multiplicity}, g times its class.  Adds the classes of two or more
+        words of its prefix trie that the cache lacks, hash-consed by key; a loop at every depth."""
+        classes = self._classes
+        top = _normal(family.items())
+        todo = [top]
+        while todo:
+            key, _, pairs = todo.pop()
+            if len(pairs) == 1 or key in classes:  # a word's classes are its suffixes: see _node
+                continue
+            groups: dict[int, list] = {}
+            for u, c in pairs:
+                groups.setdefault(u[0], []).append((u[1:], c))
+            edges = []
+            for a, group in groups.items():
+                sub = _normal(group)
+                edges.append((a, sub[0], sub[1]))
+                todo.append(sub)
+            classes[key] = (sum(pairs[0][0]), tuple(edges))
+        return top[:2]
+
+    def _node(self, key) -> tuple:
+        """(weight, edges) of a class: a word has one edge, to its tail."""
+        found = self._classes.get(key)
+        return found if found else (sum(key), ((key[0], key[1:], 1),))
+
     def _fill(self, word_set: list, m: int) -> None:
-        """Bring the set's words to m, unless they all sit there."""
+        """Bring the set's classes to m, unless they all sit there."""
+        _check_cutoff(m)
         if any(state[0] != m for state in word_set[0]):
             for _ in self._pass(word_set, (m,)):
                 pass
 
     def _pass(self, word_set: list, cutoffs):
-        """Advance the set's closure, in each kind it has words of, through the ascending ``cutoffs``,
-        from the cutoff it shares, else from 0, computing each level's factors once for both kinds.
-
-        Writes the states and yields at each cutoff; a loop at every depth."""
+        """Advance the set's closures through the ascending ``cutoffs`` from the cutoff they share, else 0,
+        each level's factors computed once for both kinds; writes the states and yields at each cutoff."""
         if word_set[2] is None:
             word_set[2] = self._plan(word_set[1])
-        chain, tops, steps, strict_steps, star_steps, k0s, weights = word_set[2]
+        chain, tops, steps, rescale, factors = word_set[2]
         if not chain:  # only the empty word
             yield from cutoffs
             return
         t0 = chain[0][0][0]
         if t0 > cutoffs[0] or any(state[0] != t0 for state, _ in chain):
             t0 = 0
-        vals = [1] + ([state[2] for state, _ in chain] if t0 else [0] * len(chain))  # a word is 0 at cutoff 0
+        vals = [1] + ([state[2] for state, _ in chain] if t0 else [0] * len(chain))  # every class is 0 at cutoff 0
         prev = [1] + [state[1] for state, _ in chain] if t0 else vals
         ratios = self._ratios if len(self._ratios) > cutoffs[-1] else self._ratios_to(cutoffs[-1])
-        lt, fs, rs = self.lcm(t0), {}, {}
+        lt, fs = self.lcm(t0), [0] * len(factors)
         for m in cutoffs:
             for t in range(t0 + 1, m + 1):
                 if t == m:
@@ -184,61 +213,47 @@ class ZetaCache:
                 r = ratios[t]
                 if r != 1:  # t is a prime power: every value is rescaled to L_t
                     lt *= r
-                    for w in weights:
-                        rs[w] = r**w
+                    for w, slots in rescale:
+                        rw = r**w
+                        for i in slots:
+                            vals[i] *= rw
                 f = lt // t
-                for k0 in k0s:
-                    fs[k0] = f**k0
-                if r == 1:
-                    for i, j, k0, _, _ in steps:
-                        vals[i] += fs[k0] * vals[j]
-                else:
-                    for i, j, k0, w, _ in star_steps:  # shortest first: vals[j] is the sub's value at t
-                        vals[i] = vals[i] * rs[w] + fs[k0] * vals[j]
-                    for i, j, k0, w, sw in strict_steps:  # longest first: vals[j] is the sub's value at t - 1
-                        vals[i] = vals[i] * rs[w] + fs[k0] * rs[sw] * vals[j]
+                for n, a, g in factors:
+                    fs[n] = f**a * g
+                for i, j, n in steps:
+                    vals[i] += fs[n] * vals[j]
             t0 = m
             self._lcms[m] = lt
-            for state, i in chain if m == cutoffs[-1] else tops:  # the words alone until the last cutoff
+            for state, i in chain if m == cutoffs[-1] else tops:  # the requests alone until the last cutoff
                 state[:] = m, prev[i], vals[i]
             yield m
 
-    def _plan(self, words: tuple) -> tuple:
-        """(chain, words, steps, strict steps, star steps, first letters, weights) of the suffix
-        closure of the strict and star ``words`` together, in each kind with words.
+    def _plan(self, reads: tuple) -> tuple:
+        """(chain, tops, steps, rescale, factors) of the closures of the strict and star requests.
 
-        A walk from each word back to its longest suffix already in the closure
-        gives the suffixes beyond it the next slots, shortest first, so a sub's
-        slot (0 for the empty word) is below its suffix's.  A step
-        (i, j, k0, w, w - k0) updates slot i, of first letter k0 and weight w,
-        from its sub's slot j: star steps in slot order, strict ones reversed.
-        The star values follow the strict ones, their slots shifted past them.
-        """
-        slots, steps = {(): 0}, []
-        for k in words[0] + words[1]:
-            n, sub = 0, k
-            while sub not in slots:
-                n += 1
-                sub = k[n:]
-            if n:
-                j, w = slots[sub], sum(sub)
-                for n in range(n - 1, -1, -1):
-                    k0 = k[n]
-                    i = slots[k[n:]] = len(slots)
-                    w += k0
-                    steps.append((i, j, k0, w, w - k0))
-                    j = i
-        base, chain, tops, kinds = 0, [], [], [[], []]
-        for star, kind in enumerate(words):
-            if kind:
-                states, ordered = self._states[star], steps if star else steps[::-1]
-                chain += [(states.setdefault(k, [0, 0, 0]), base + i) for k, i in slots.items() if i]
-                tops += [(states[k], base + slots[k]) for k in kind if k]
-                kinds[star] = [(base + i, base + j if j else 0, k0, w, sw)
-                               for i, j, k0, w, sw in ordered] if base else ordered
-                base += len(steps)
-        return (chain, tops, kinds[0] + kinds[1], *kinds,
-                {step[2] for step in steps}, {0, *(step[3] for step in steps)})  # a sub's weight is 0 or a slot's
+        Each kind's closure takes the next slots by ascending weight, so a sub's slot (0 for the empty
+        word) is below its parent's.  A step (i, j, n) adds g * (L_t // t)**a times slot j to slot i,
+        for (a, g) the n-th factor; strict steps run in reverse slot order.  A loop at every depth."""
+        chain, top, steps, rescale, factors = [], [], [], {}, {}
+        for star, kind_reads in enumerate(reads):
+            closure, todo = {}, [k for _, _, k in kind_reads if k]
+            while todo:
+                key = todo.pop()
+                if key not in closure:
+                    closure[key] = node = self._node(key)
+                    for _, sub, _ in node[1]:
+                        if sub:
+                            todo.append(sub)
+            states, slots, kind = self._states[star], {(): 0}, []
+            for key, (w, edges) in sorted(closure.items(), key=lambda item: item[1][0]):
+                slots[key] = i = len(chain) + 1
+                chain.append((states.setdefault(key, [0, 0, 0]), i))
+                rescale.setdefault(w, []).append(i)
+                for a, sub, g in edges:
+                    kind.append((i, slots[sub], factors.setdefault((a, g), len(factors))))
+            steps += kind if star else kind[::-1]
+            top += [(state, slots[k]) for _, state, k in kind_reads if k]
+        return chain, top, steps, tuple(rescale.items()), [(n, a, g) for (a, g), n in factors.items()]
 
     def members(self, family, i: int, j: int, params: AbcParams) -> IndexMultiset:
         """``family(i, j, params)`` (``index_family_I`` or ``_J``), enumerated once per cache."""
@@ -249,30 +264,23 @@ class ZetaCache:
         return found
 
     def family_scaled(self, family, i: int, j: int, params: AbcParams, m: int, star: bool) -> int:
-        """The (i, j) family sum at cutoff m times lcm(1..m)**weight; every member has that weight."""
-        if m < 0:  # every family sum and identity check starts here
-            raise ValueError(f"cutoff m must be non-negative, got {m}")
-        self._fill(self._set(((family, i, j, params), star), {star: self.members(family, i, j, params)}), m)
-        return self._family_at(family, i, j, params, star)
-
-    def _family_at(self, family, i: int, j: int, params: AbcParams, star: bool) -> int:
-        """The scaled (i, j) family sum at the cutoff its members sit at."""
-        key = (family, i, j, params, star)
-        terms = self._terms.get(key)
-        if terms is None:
-            states = self._states[star]
-            terms = self._terms[key] = [(mult, states[k] if k else (None, 1, 1))  # the empty word is 1
-                                        for k, mult in self.members(family, i, j, params).items()]
-        return sum(mult * state[2] for mult, state in terms)
+        """The (i, j) family sum at cutoff m times lcm(1..m)**weight: g times its class's value."""
+        word_set = self._set(((family, i, j, params), star), lambda: {star: [self.members(family, i, j, params)]})
+        self._fill(word_set, m)
+        g, state, _ = word_set[1][star][0]
+        return g * state[2]
 
     def lcm(self, m: int) -> int:
         """lcm(1..m)."""
-        if m < 0:
-            raise ValueError(f"cutoff m must be non-negative, got {m}")
         lt = self._lcms.get(m)
         if lt is None:
+            _check_cutoff(m)
             lt = self._lcms[m] = math.prod(r for r in self._ratios_to(m)[1 : m + 1] if r != 1)
         return lt
+
+    def _den(self, m: int, weight: int) -> int:
+        """lcm(1..m)**weight; a weight-0 value reads no lcm."""
+        return self.lcm(m) ** weight if weight else 1
 
     def _ratios_to(self, m: int) -> list[int]:
         """The ratios r_t = L_t // L_(t-1) = t // gcd(L_(t-1), t), extended to t = m."""
@@ -284,12 +292,15 @@ class ZetaCache:
         return ratios
 
     def save(self, path) -> None:
-        """Write the saveable chains to ``path`` via a temporary file in its directory and ``os.replace``."""
+        """Write the saveable classes to ``path`` via a temporary file in its directory and ``os.replace``."""
         import pickle
 
-        chains = [{k: state for k, state in states.items()
-                   if state[0] >= 1 and all(states[k[i:]][0] == state[0] for i in range(1, len(k)))}
-                  for states in self._states]
+        chains = ({}, {})
+        for states, chain in zip(self._states, chains):
+            for k in sorted(states, key=lambda k: self._node(k)[0]):  # subs first
+                t = states[k][0]
+                if t >= 1 and all(not sub or sub in chain and chain[sub][0] == t for _, sub, _ in self._node(k)[1]):
+                    chain[k] = states[k]
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         fh = open(tmp, "wb")
         try:
@@ -322,19 +333,40 @@ class ZetaCache:
             if type(data[1 + star]) is not dict:
                 raise ValueError("the states are not a dict")
             for k, state in data[1 + star].items():
-                if not (type(k) is tuple and k and all(type(e) is int and e >= 1 for e in k) and type(state) is list
-                        and len(state) == 3 and all(type(v) is int for v in state) and state[0] >= 1):
+                request = _saved_request(k)  # a key is the canonical form of its request
+                key, g = (k, 1) if request is k else cache._class(request) if request else (None, 0)
+                if not (type(state) is list and len(state) == 3 and all(type(v) is int for v in state)
+                        and state[0] >= 1 and g == 1 and key == k):
                     raise ValueError(f"the state of {k!r} is malformed")
                 states[k] = list(state)
             for k, (t, n0, n1) in states.items():
-                sub = states.get(k[1:], (None,)) if len(k) > 1 else (t, 1, 1)  # the empty word is 1
-                if sub[0] != t:
-                    raise ValueError(f"the state of {k} has no state of {k[1:]} at cutoff {t} to check against")
-                r, w = cache._ratios_to(t)[t], sum(k)
-                step = (cache.lcm(t) // t) ** k[0]
-                if n1 != n0 * r**w + step * (sub[2] if star else sub[1] * r ** (w - k[0])):
+                w, edges = cache._node(k)
+                r, f, step = cache._ratios_to(t)[t], cache.lcm(t) // t, 0
+                for a, sub, g in edges:
+                    sub_state = states.get(sub, (None,)) if sub else (t, 1, 1)  # the empty word is 1
+                    if sub_state[0] != t:
+                        raise ValueError(f"the state of {k} has no state of {sub} at cutoff {t} to check against")
+                    step += g * f**a * (sub_state[2] if star else sub_state[1] * r ** (w - a))
+                if n1 != n0 * r**w + step:
                     raise ValueError(f"the state of {k} fails its recurrence at cutoff {t}")
         return cache
+
+
+def _normal(pairs) -> tuple:
+    """(key, g, pairs / g) of a family's (word, multiplicity) pairs: the word of one pair, else their frozenset."""
+    g = math.gcd(*[c for _, c in pairs])
+    pairs = [(u, c // g) for u, c in pairs] if g != 1 else list(pairs)
+    return pairs[0][0] if len(pairs) == 1 else frozenset(pairs), g, pairs
+
+
+def _saved_request(k):
+    """The word, or family {word: multiplicity} of one weight, that a saved class key names, else None."""
+    pairs = [(k, 1)] if type(k) is tuple else list(k) if type(k) is frozenset and len(k) > 1 else []
+    if not (pairs and all(
+            type(e) is tuple and len(e) == 2 and type(e[0]) is tuple and e[0] and type(e[1]) is int and e[1] >= 1
+            and all(type(x) is int and x >= 1 for x in e[0]) for e in pairs) and len({sum(u) for u, _ in pairs}) == 1):
+        return None
+    return k if type(k) is tuple else dict(pairs)
 
 
 def _check_ascending(cutoffs) -> None:
@@ -342,22 +374,19 @@ def _check_ascending(cutoffs) -> None:
         raise ValueError(f"cutoffs must be non-negative and increase, got {list(cutoffs)}")
 
 
-def _checked(k, m) -> Index:
+def _check_cutoff(m: int) -> None:  # every value and lcm reaches it
     if m < 0:
         raise ValueError(f"cutoff m must be non-negative, got {m}")
-    return validate_index(k)
 
 
 def zeta_trunc(k, m: int, cache: ZetaCache | None = None) -> Fraction:
     """Truncated multiple zeta value over strictly decreasing tuples."""
-    k = _checked(k, m)
-    return (cache if cache is not None else ZetaCache()).zeta(k, m)
+    return (cache if cache is not None else ZetaCache()).zeta(validate_index(k), m)
 
 
 def zeta_star_trunc(k, m: int, cache: ZetaCache | None = None) -> Fraction:
     """Truncated multiple zeta-star value over weakly decreasing tuples."""
-    k = _checked(k, m)
-    return (cache if cache is not None else ZetaCache()).zeta_star(k, m)
+    return (cache if cache is not None else ZetaCache()).zeta_star(validate_index(k), m)
 
 
 def _weight(family, p, q, params, cache) -> int:
@@ -369,7 +398,7 @@ def _family_sum(family, p, q, m, params, star, cache) -> Fraction:
     if cache is None:
         cache = ZetaCache()
     scaled = cache.family_scaled(family, p, q, params, m, star)
-    return Fraction(scaled, cache.lcm(m) ** _weight(family, p, q, params, cache))
+    return Fraction(scaled, cache._den(m, _weight(family, p, q, params, cache)))
 
 
 def s_direct(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> Fraction:
@@ -429,23 +458,23 @@ def _verify_identity(p, q, m, params, family, cache) -> IdentityReport:
     """Both sides of the (p, q) identity over ``family`` (I or J), compared as integers.
 
     Every term has the weight of the left side, so each side is a sum of
-    scaled numerators over lcm(1..m)**weight.  The words of both sides are
+    scaled numerators over lcm(1..m)**weight.  The classes of both sides are
     filled together, both kinds in one pass; the right side reads the groups of
-    ``identity_terms``: one family sum per (i, j), times its weighted sum of
-    star-run products.
+    ``identity_terms``: one family's class per (i, j), times its weighted sum
+    of star-run products.
     """
     if cache is None:
         cache = ZetaCache()
-    if m < 0:
-        raise ValueError(f"cutoff m must be non-negative, got {m}")
-    cache._fill(cache._identity_set(family, ((p, q),), params), m)
-    lhs = cache._family_at(family, p, q, params, True)
-    runs = cache.fill([(params.c,) * r for r in range(2 * p + q + 1)], m, True)
+    word_set = cache._identity_set(family, ((p, q),), params)
+    cache._fill(word_set, m)
+    strict, ((g, state, _), *runs) = word_set[1]
+    lhs = g * state[2]
+    runs = [run[2] for _, run, _ in runs]
     rhs = sum(
-        cache._family_at(family, i, j, params, False) * sum(w * runs[r1] * runs[r2] for w, r1, r2 in pairs)
-        for i, j, pairs in identity_terms(p, q)
+        g * family_state[2] * sum(w * runs[r1] * runs[r2] for w, r1, r2 in pairs)
+        for (g, family_state, _), (_, _, pairs) in zip(strict, identity_terms(p, q))
     )
-    den = cache.lcm(m) ** _weight(family, p, q, params, cache)
+    den = cache._den(m, _weight(family, p, q, params, cache))
     lhs_value = Fraction(lhs, den)
     rhs_value = lhs_value if rhs == lhs else Fraction(rhs, den)
     return IdentityReport(params, p, q, m, lhs_value, rhs_value, lhs == rhs)

@@ -25,9 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from mzvsums.indices import AbcParams
+from mzvsums.indices import AbcParams, validate_index
 from mzvsums.series import BivarPoly, UnivarPoly
-from mzvsums.zeta import _checked
 
 
 @lru_cache(maxsize=None)
@@ -126,6 +125,12 @@ def step_matrix_star(l: int, params: AbcParams, bound_x: int, bound_y: int) -> M
     geo = UnivarPoly.geometric(Fraction(1, l**params.c), bound_x + bound_y)
     pref = geo.subs_linear(-1, 1, bound_x, bound_y) * geo.subs_linear(1, 1, bound_x, bound_y)
     return Mat2(diag * pref, upper * pref, lower * pref, diag * pref)
+
+
+def _checked(k, m: int) -> tuple[int, ...]:
+    if m < 0:
+        raise ValueError(f"cutoff m must be non-negative, got {m}")
+    return validate_index(k)
 
 
 def zeta_trunc_naive(k, m: int) -> Fraction:

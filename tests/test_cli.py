@@ -264,31 +264,50 @@ class TestVerifyCommand:
         path.write_bytes(pickle.dumps(({(2,): [Fraction(0), Fraction(1)]}, {})))
         self._assert_cache_rejected(path, capsys)
 
-    def test_cache_with_altered_last_entry_exits_two(self, capsys, tmp_path):
+    def _saved_sweep(self, path, capsys):
+        """A cache file of both kinds' tail classes, words and families alike, saved by an identity sweep."""
         import pickle
 
-        path = tmp_path / "tables.pkl"
         code, _, _ = run(["verify", "s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..8",
                           "--cache", str(path)], capsys)
         assert code == 0
-        tag, strict, star = pickle.loads(path.read_bytes())
-        star[(2, 2)][-1] += 1
-        path.write_bytes(pickle.dumps((tag, strict, star)))
-        self._assert_cache_rejected(path, capsys)
+        tag, *kinds = pickle.loads(path.read_bytes())
+        assert all(any(type(k) is frozenset for k in states) and any(type(k) is tuple for k in states)
+                   for states in kinds)
+        return tag, kinds
 
-    @pytest.mark.parametrize("star, field", [(False, 0), (False, 1), (False, 2), (True, 0), (True, 1)])
+    def _assert_each_alteration_rejected(self, path, capsys, star, field):
+        import pickle
+
+        tag, kinds = self._saved_sweep(path, capsys)
+        for key in kinds[star]:
+            altered = [{k: list(state) for k, state in states.items()} for states in kinds]
+            altered[star][key][field] += 1
+            path.write_bytes(pickle.dumps((tag, *altered)))
+            self._assert_cache_rejected(path, capsys)
+
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    def test_cache_with_altered_last_entry_exits_two(self, capsys, tmp_path, star):
+        self._assert_each_alteration_rejected(tmp_path / "tables.pkl", capsys, star, -1)
+
+    @pytest.mark.parametrize("star, field", [(False, 0), (False, 1), (False, 2), (True, 0), (True, 1), (True, 2)])
     def test_cache_with_any_altered_number_exits_two(self, capsys, tmp_path, star, field):
         # A state is [cutoff, numerator at cutoff - 1, numerator at cutoff]; load checks the last step of each.
-        import pickle
+        self._assert_each_alteration_rejected(tmp_path / "states.pkl", capsys, star, field)
 
-        path = tmp_path / "states.pkl"
-        code, _, _ = run(["verify", "s-identity", "--p", "0..1", "--q", "0..1", "--m", "0..8",
-                          "--cache", str(path)], capsys)
-        assert code == 0
-        tag, strict, star_states = pickle.loads(path.read_bytes())
-        (star_states if star else strict)[(3, 1, 2)][field] += 1
-        path.write_bytes(pickle.dumps((tag, strict, star_states)))
-        self._assert_cache_rejected(path, capsys)
+    def test_cache_of_word_states_alone_loads_and_extends(self, capsys, tmp_path):
+        # The states of single words, as caches saved before tail classes hold: a sweep reads on from them.
+        cache, path = zeta.ZetaCache(), tmp_path / "words.pkl"
+        params = AbcParams(3, 1, 2)
+        words = [k for p in range(3) for q in range(3) for f in (zeta.index_family_I(p, q, params),) for k in f]
+        for star in (False, True):
+            cache.fill(words + [(2,) * r for r in range(7)], 8, star)
+        cache.save(path)
+        assert not any(type(k) is frozenset for states in cache._states for k in states)
+        argv = ["verify", "s-identity", "--p", "0..2", "--q", "0..2", "--m", "8..12"]
+        extended, fresh = run(argv + ["--cache", str(path)], capsys), run(argv, capsys)
+        assert extended[0] == fresh[0] == 0
+        assert parse_json(extended[1])["cases"] == parse_json(fresh[1])["cases"]
 
     def test_cache_with_a_mixed_chain_exits_two(self, capsys, tmp_path):
         # save writes no such chain: (2, 2) at cutoff 8 over a (2,) at cutoff 3 cannot be checked.
@@ -613,6 +632,24 @@ class TestEvalCommand:
     def test_empty_index_is_unit(self, capsys):
         _, out, _ = run(["eval", "zeta", "--index", "", "--m", "9"], capsys)
         assert out.splitlines()[0] == "1/1"
+
+    def test_weight_zero_at_a_huge_cutoff_reads_no_lcm(self, capsys, monkeypatch):
+        # Each command printed nothing for minutes: lcm(1..m)**0 built the ratio list up to m first.
+        asked = []
+        original = zeta.ZetaCache._ratios_to
+
+        def recorded(cache, m):
+            asked.append(m)
+            return original(cache, m)
+
+        monkeypatch.setattr(zeta.ZetaCache, "_ratios_to", recorded)
+        huge = 10**20
+        code, out, _ = run(["eval", "zeta", "--index", "", "--m", str(huge)], capsys)
+        assert code == 0 and out.splitlines()[0] == "1/1"
+        code, out, _ = run(["verify", "s-identity", "--p", "0", "--q", "0", "--m", str(huge)], capsys)
+        assert code == 0
+        assert parse_json(out)["cases"] == [{"p": 0, "q": 0, "m": huge, "lhs": "1/1", "rhs": "1/1", "equal": True}]
+        assert not any(m > 100 for m in asked), asked
 
     def test_bad_index_entry_exits_two(self, capsys):
         code, _, err = run(["eval", "zeta", "--index", "0,1", "--m", "3"], capsys)

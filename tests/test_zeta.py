@@ -1,5 +1,6 @@
 """Truncated zeta evaluation: DP vs naive enumeration, recurrences, identities."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import zeta_star_trunc_naive, zeta_trunc_naive
 
+from mzvsums.harmonic import HPoly, z_eval
 from mzvsums.indices import AbcParams, index_family_I, index_family_J
 from mzvsums.zeta import (
     ZetaCache,
@@ -286,18 +288,34 @@ class TestIntegerTables:
                 assert {sum(k) for k in index_family_J(p, q, params)} == {b + c * (2 * p + q)}
 
 
-def _assert_states_exact(cache):
-    """Every state [t, N_(t-1), N_t] of the cache holds the naive values at t - 1 and t."""
-    for star, naive in ((False, zeta_trunc_naive), (True, zeta_star_trunc_naive)):
-        for k, (t, n0, n1) in cache._states[star].items():
-            assert all(type(v) is int for v in (t, n0, n1)), k
-            assert Fraction(n1, cache.lcm(t) ** sum(k)) == naive(k, t), (k, t, star)
-            if t:
-                assert Fraction(n0, cache.lcm(t - 1) ** sum(k)) == naive(k, t - 1), (k, t, star)
+@functools.cache  # read again and again by the class checks
+def _naive(k, t, star):
+    return (zeta_star_trunc_naive if star else zeta_trunc_naive)(k, t)
+
+
+def _class_words(key):
+    """The (word, multiplicity) pairs of a class key: a word, or the frozenset of two or more pairs."""
+    return [(key, 1)] if type(key) is tuple else sorted(key)
+
+
+def _assert_states_exact(cache, value=_naive):
+    """Every class state [t, N_(t-1), N_t] of the cache holds its words' sum of multiplicity times
+    ``value`` at t - 1 and t, scaled; a class key is canonical: one weight, coprime multiplicities."""
+    for star in (False, True):
+        for key, (t, n0, n1) in cache._states[star].items():
+            words = _class_words(key)
+            weight = sum(words[0][0])
+            assert all(type(v) is int for v in (t, n0, n1)), key
+            assert {sum(u) for u, _ in words} == {weight} and math.gcd(*(c for _, c in words)) == 1, key
+            assert type(key) is tuple or len(words) > 1, key
+            for cutoff, n in ((t, n1), (t - 1, n0)) if t else ((t, n1),):
+                want = sum(c * value(u, cutoff, star) for u, c in words) * cache.lcm(cutoff) ** weight
+                assert n == want, (key, cutoff, star)
 
 
 class TestRunningState:
-    """One state per suffix and kind, [t, N_(t-1), N_t]: memory does not grow with the cutoff."""
+    """One state per tail class and kind, [t, N_(t-1), N_t]: memory does not grow with the cutoff.
+    A word's classes are its suffixes."""
 
     # Weights 3 and 4 are each shared by strict and star suffixes, and by suffixes whose tails differ.
     WORDS = [(3,), (2, 1), (1, 2), (1, 1, 1), (4,), (3, 1), (1, 3), (2, 2), (2, 1, 1), (1, 2, 1)]
@@ -523,49 +541,72 @@ class TestCacheFile:
         with pytest.raises(ValueError, match="not a zeta cache in format"):
             ZetaCache.load(path)
 
+    @pytest.mark.parametrize("key", [
+        frozenset({((2, 1), 2), ((1, 2), 4)}),  # multiplicities not coprime: the class is half of it
+        frozenset({((2, 1), 1), ((2,), 1)}),  # two weights
+        frozenset({((2, 1), 1)}),  # one word is keyed by the word
+        frozenset({((2, 1), 1), ((1, 2), True)}),
+        frozenset({((2, 0), 1), ((1, 1), 1)}),
+        (2, 0), (), "21", ((2, 1), (1, 2)),
+    ], ids=repr)
+    def test_load_refuses_a_key_that_is_not_a_canonical_class(self, tmp_path, key):
+        import pickle
 
-def _assert_states_fresh(cache):
-    """Every state of the cache equals the state a fresh fill of its suffix alone leaves at its cutoff."""
-    for star in (False, True):
-        for k, state in cache._states[star].items():
-            fresh = ZetaCache()
-            fresh.scaled(k, state[0], star)
-            assert fresh._states[star][k] == state, (k, state[0], star)
+        from mzvsums.zeta import _CACHE_FORMAT
+
+        path = tmp_path / "states.pkl"
+        path.write_bytes(pickle.dumps((_CACHE_FORMAT, {}, {key: [1, 0, 1]})))
+        with pytest.raises(ValueError, match="is malformed"):
+            ZetaCache.load(path)
 
 
-def _identity_words(cache, family, cells, params):
-    """The identity's (strict words, star words) over ``cells``, as ``sweep_identities`` advances them."""
-    strict = [k for p, q in cells for i, j, _ in identity_terms(p, q) for k in cache.members(family, i, j, params)]
-    star = [k for p, q in cells
-            for k in (*cache.members(family, p, q, params), *[(params.c,) * r for r in range(2 * p + q + 1)])]
-    return strict, star
+class _WordValues:
+    """Exact values of single words from one reference cache, one word at a time (no family classes);
+    words of length <= 3 are checked against the naive oracles as they are read."""
+
+    def __init__(self):
+        self.cache, self.seen = ZetaCache(), {}
+
+    def __call__(self, k, t, star):
+        key = (k, t, star)
+        if key not in self.seen:
+            value = self.cache.zeta_star(k, t) if star else self.cache.zeta(k, t)
+            if len(k) <= 3:
+                assert value == _naive(k, t, star), key
+            self.seen[key] = value
+        return self.seen[key]
 
 
 class TestBothKinds:
-    """An identity's star and strict words share one closure, advanced in both kinds by one pass."""
+    """An identity's star and strict families and c-runs are tail classes, advanced in both kinds by one pass."""
 
     CELLS = tuple((p, q) for p in range(4) for q in range(4))
+
+    @staticmethod
+    def _family_scaled(cache, words, family, i, j, params, m, star):
+        members = cache.members(family, i, j, params)
+        return sum(c * words(k, m, star) for k, c in members.items()) * cache.lcm(m) ** sum(next(iter(members)))
 
     @pytest.mark.parametrize("params", [*ACCEPTANCE_TRIPLES, AbcParams(6, 2, 4)], ids=str)
     @pytest.mark.parametrize("family", [index_family_I, index_family_J], ids=["I", "J"])
     def test_a_pass_stepped_across_prime_powers_matches_single_kind_fills_and_the_naive_oracles(self, params, family):
-        both = ZetaCache()
-        strict, star = _identity_words(both, family, self.CELLS, params)
+        both, words = ZetaCache(), _WordValues()
         for m in both.sweep_identities(family, self.CELLS, params, (0, 7, 9, 16, 17)):  # each step crosses prime powers
-            single = ZetaCache()  # each kind filled alone, over the union of the words
-            single.fill(strict + star, m, False)
-            single.fill(star + strict, m, True)
-            for kind, words in ((False, strict), (True, star)):
-                for k in words:
-                    assert both._states[kind].get(k, [0, 0, 1]) == (single._states[kind][k] if k else [0, 0, 1]), (k, m)
-                    if len(k) <= 3:
-                        naive = zeta_star_trunc_naive if kind else zeta_trunc_naive
-                        assert both.scaled(k, m, kind) == naive(k, m) * both.lcm(m) ** sum(k), (k, m, kind)
-        assert both._states == single._states  # at the last cutoff every suffix of the closure, in both kinds
-        short = {k for states in both._states for k in states if len(k) <= 3}
-        assert short and all(both._states[kind][k][0] == 17 for kind in (False, True) for k in short)
-        for k in short:
-            assert both.zeta(k, 17) == zeta_trunc_naive(k, 17) and both.zeta_star(k, 17) == zeta_star_trunc_naive(k, 17)
+            for p, q in self.CELLS:  # the requests, read as each cell's check reads them
+                strict, star = both._identity_set(family, ((p, q),), params)[1]
+                assert [run[2] for _, run, _ in star[1:]] == [
+                    words((params.c,) * r, m, True) * both.lcm(m) ** (params.c * r) for r in range(2 * p + q + 1)]
+                for (i, j, _), (g, state, _) in zip(identity_terms(p, q), strict):
+                    assert g * state[2] == self._family_scaled(both, words, family, i, j, params, m, False), (i, j, m)
+                g, state, _ = star[0]
+                assert g * state[2] == self._family_scaled(both, words, family, p, q, params, m, True), (p, q, m)
+        assert all(state[0] == 17 for states in both._states for state in states.values())
+        _assert_states_exact(both, words)
+        for star in (False, True):  # each kind's states are the closure of its own requests
+            requested = {k for _, _, k in both._identity_set(family, self.CELLS, params)[1][star] if k}
+            assert requested <= set(both._states[star]), star
+        if params.a != params.c:  # no strict family has eight c's in a row: that run is read in the star kind only
+            assert (params.c,) * 8 in both._states[True] and (params.c,) * 8 not in both._states[False]
 
     @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
     @pytest.mark.parametrize("identity_first", [True, False], ids=["identity-first", "single-first"])
@@ -580,7 +621,7 @@ class TestBothKinds:
             else:
                 for i, j in ((0, 1), (1, 1)):
                     assert family_sum(i, j, m, P312, cache) == family_sum(i, j, m, P312, ZetaCache()), (i, j, m)
-        _assert_states_fresh(cache)
+        _assert_states_exact(cache)
 
     @pytest.mark.parametrize("family, check", [(index_family_I, verify_identity_s),
                                                (index_family_J, verify_identity_t)], ids=["I", "J"])
@@ -599,6 +640,89 @@ class TestBothKinds:
         assert list(loaded.sweep_identities(family, cells, params, (16, 17))) == [16, 17]
         assert list(fresh.sweep_identities(family, cells, params, (17,))) == [17]
         assert loaded._states == fresh._states
+
+
+# Requests of one weight: repeated words, one weight at several lengths, edges whose factor g is not 1,
+# one pair of words in two ratios, and families whose letters coincide.
+TAIL_FAMILIES = {
+    "edge-factor-2": {(3,): 1, (1, 2): 2},
+    "edge-factors-4-2": {(4,): 1, (1, 1, 1, 1): 4, (2, 2): 2},
+    "top-gcd-2": {(2, 1): 2, (1, 2): 2},
+    "gcd-3-lengths-2-3": {(3, 1): 3, (1, 3): 6, (2, 2): 3, (1, 1, 2): 6, (2, 1, 1): 3},
+    "ratio-1-2": {(2, 1): 1, (1, 2): 2},
+    "ratio-2-1": {(2, 1): 2, (1, 2): 1},
+    "ratio-1-2-doubled": {(2, 1): 2, (1, 2): 4},
+    "I(2,1) on (2,2,2)": index_family_I(2, 1, AbcParams(2, 2, 2)),
+    "J(1,2) on (2,2,2)": index_family_J(1, 2, AbcParams(2, 2, 2)),
+    "I(2,2) on (6,2,4)": index_family_I(2, 2, AbcParams(6, 2, 4)),
+    "J(2,1) on (6,2,4)": index_family_J(2, 1, AbcParams(6, 2, 4)),
+}
+
+
+def _family_of(multiset):
+    """A family callable naming ``multiset`` at every (i, j), so ``family_scaled`` fills its class."""
+    return lambda i, j, params: dict(multiset)
+
+
+class TestTailClasses:
+    """A family is g times one tail class, whose value sums multiplicity times each word's value."""
+
+    @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+    @pytest.mark.parametrize("order", ["ascending", "resumed", "restarted"])
+    def test_family_sums_match_the_naive_sums_at_every_cutoff(self, order, star):
+        families = [_family_of(multiset) for multiset in TAIL_FAMILIES.values()]
+        runs = {"ascending": [range(9)],  # one cache, one cutoff after the other
+                "resumed": [(m // 2, m) for m in range(9)],  # a cache at m // 2 advanced to m
+                "restarted": [range(8, -1, -1)]}[order]  # each lower cutoff refills from 0
+        for cutoffs in runs:
+            cache = ZetaCache()
+            for m in cutoffs:
+                lm = cache.lcm(m)
+                for family, multiset in zip(families, TAIL_FAMILIES.values()):
+                    want = sum(c * _naive(k, m, star) for k, c in multiset.items()) * lm ** sum(next(iter(multiset)))
+                    assert cache.family_scaled(family, 0, 0, P312, m, star) == want, (multiset, m)
+            _assert_states_exact(cache)
+
+    def test_classes_are_shared_and_keep_multiplicities_apart(self):
+        cache = ZetaCache()
+        got = {name: cache._class(multiset) for name, multiset in TAIL_FAMILIES.items()}
+        assert got["ratio-1-2-doubled"] == (got["ratio-1-2"][0], 2)
+        assert got["ratio-2-1"][0] != got["ratio-1-2"][0]
+        assert got["top-gcd-2"] == (frozenset({((2, 1), 1), ((1, 2), 1)}), 2)
+        assert got["I(2,1) on (2,2,2)"] == ((2,) * 5, 5)  # one word, five shuffles
+        assert set(cache._classes[got["edge-factors-4-2"][0]][1]) == {(4, (), 1), (1, (1, 1, 1), 4), (2, (2,), 2)}
+        assert cache._node((1, 1, 1)) == (3, ((1, (1, 1), 1),))  # a word's classes are its suffixes
+
+    @pytest.mark.parametrize("family", [index_family_I, index_family_J], ids=["I", "J"])
+    def test_an_identity_set_steps_far_fewer_classes_than_its_words_have_suffixes(self, family):
+        cache = ZetaCache()
+        list(cache.sweep_identities(family, ((3, 3),), P312, (1,)))
+        steps = cache._identity_set(family, ((3, 3),), P312)[2][2]
+        words = [*cache.members(family, 3, 3, P312), *[(P312.c,) * r for r in range(10)],
+                 *[k for i, j, _ in identity_terms(3, 3) for k in cache.members(family, i, j, P312)]]
+        suffixes = {k[n:] for k in words for n in range(len(k))}
+        assert 3 * len(steps) < len(suffixes), (len(steps), len(suffixes))  # 96 and 110 steps, 334 and 499 suffixes
+
+
+class TestWeightZero:
+    """A weight-0 value is 1 at every cutoff: it reads no lcm, so a huge cutoff costs nothing."""
+
+    def test_weight_zero_values_leave_the_ratio_list_alone(self):
+        huge, cache = 10**20, ZetaCache()
+        assert cache.zeta((), huge) == cache.zeta_star((), huge) == zeta_trunc((), huge, cache) == 1
+        assert s_direct(0, 0, huge, P312, cache) == s_star_direct(0, 0, huge, P312, cache) == 1
+        rep = verify_identity_s(0, 0, huge, P312, cache)
+        assert rep.equal and rep.lhs == rep.rhs == 1
+        assert list(cache.sweep_identities(index_family_I, ((0, 0),), P312, (huge,))) == [huge]
+        assert z_eval(HPoly.word(()), huge, cache) == 1
+        assert cache._ratios == [1] and cache._ratio_lcm == 1
+
+    def test_weight_zero_values_refuse_negative_cutoffs(self):
+        cache = ZetaCache()
+        for read in (lambda m: cache.zeta((), m), lambda m: zeta_star_trunc((), m, cache),
+                     lambda m: s_star_direct(0, 0, m, P312, cache), lambda m: verify_identity_s(0, 0, m, P312, cache)):
+            with pytest.raises(ValueError, match="cutoff m must be non-negative, got -1"):
+                read(-1)
 
 
 class TestFamilyMemo:
