@@ -32,11 +32,13 @@ value with the same ``_frac_str``.
 Every sweep runs its cases serially in the calling process.  A gen /
 symmetric sweep advances one ``series.GridSweep`` over its ascending
 cutoffs, so each level is computed once and each cutoff's check reads it.  An
-s/t-identity sweep shares one ``ZetaCache`` across its cases (loaded from
-``--cache`` when given, saved back afterwards).  It and the homomorphism
-sweep go up the cutoffs in ascending order, one pass over the tail classes of
-every case's families and words (star and strict together), and each case
-reads its values as the pass reaches its cutoff; the report lists the cases
+s/t-identity sweep is one ``ZetaCache.sweep_identities`` over its cells, with
+the cache loaded from ``--cache`` when given and saved back afterwards: one
+pass over the tail classes of every cell's families (star and strict
+together) goes up the ascending cutoffs and yields each cutoff's
+``IdentityReport``s, which are the cases.  The homomorphism sweep goes up its
+cutoffs in one ``ZetaCache.sweep`` over every case's words, and each case
+reads its values as the pass reaches its cutoff.  Both reports list the cases
 per (p, q) or sample.  The other kinds keep no zeta values and reject ``--cache``
 (exit 2).  So do an empty ``--cache`` path, one whose directory does not
 exist, a cache file that cannot be read, was written by an older version
@@ -126,11 +128,6 @@ def _word_case(check, params, p, q) -> dict:
     return {"p": p, "q": q, "lhs_terms": rep.lhs_terms, "rhs_terms": rep.rhs_terms, "equal": rep.equal}
 
 
-def _identity_case(fn, params, cache, p, q, m) -> dict:
-    rep = fn(p, q, m, params, cache)
-    return {"p": p, "q": q, "m": m, "lhs": rep.lhs, "rhs": rep.rhs, "equal": rep.equal}
-
-
 def _homomorphism_case(u, v, product, cache, m) -> dict:
     lhs = harmonic.z_eval(product, m, cache)
     rhs = harmonic.z_eval(u, m, cache) * harmonic.z_eval(v, m, cache)
@@ -159,12 +156,10 @@ def _run_verify(ns) -> tuple[dict, int]:
     if kind in ("s-identity", "t-identity"):
         report_params.update(p=_range_str(ps), q=_range_str(qs), m=_range_str(ms))
         cache = _load_cache(ns.cache)
-        fn, family = ((zeta.verify_identity_s, zeta.index_family_I) if kind == "s-identity"
-                      else (zeta.verify_identity_t, zeta.index_family_J))
-        cells = tuple(itertools.product(ps, qs))
-        by_cutoff = [[_identity_case(fn, params, cache, p, q, m) for p, q in cells]
-                     for m in cache.sweep_identities(family, cells, params, ms)]
-        cases = [case for cell in zip(*by_cutoff) for case in cell]
+        family = zeta.index_family_I if kind == "s-identity" else zeta.index_family_J
+        by_cutoff = cache.sweep_identities(family, tuple(itertools.product(ps, qs)), params, ms)
+        cases = [{"p": r.p, "q": r.q, "m": r.m, "lhs": r.lhs, "rhs": r.rhs, "equal": r.equal}
+                 for cell in zip(*by_cutoff) for r in cell]
         _save_cache(ns.cache, cache)
     elif kind in ("gen", "symmetric"):
         bx, by = _parse_ints(ns.bounds, "--bounds", 2)

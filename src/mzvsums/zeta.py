@@ -88,6 +88,9 @@ class ZetaCache:
     callers that read several cutoffs pass them ascending over the union of
     their requests (``sweep``, ``sweep_identities``).  A set's plan is built
     once per cache, beside the ratios r_t = L_t // L_(t-1) and the families.
+    ``sweep_identities`` reads the ``IdentityReport``s of its cells at each
+    cutoff from its set's requests (``_reports``); ``verify_identity_s/t`` are
+    one-cell, one-cutoff sweeps, so the CLI and the library share that path.
 
     ``save`` writes ``(_CACHE_FORMAT, strict states, star states)``
     atomically, only the classes whose closure sits at one cutoff t >= 1.
@@ -132,15 +135,38 @@ class ZetaCache:
         yield from self._pass(self._set((words, star), lambda: {star: words}), cutoffs)
 
     def sweep_identities(self, family, cells: tuple, params: AbcParams, cutoffs):
-        """Yield each ascending cutoff once the identities of ``cells`` over ``family`` can be read: one pass."""
+        """Yield at each ascending cutoff the ``IdentityReport`` of each of ``cells`` over ``family``: one pass."""
         _check_ascending(cutoffs)
-        yield from self._pass(self._identity_set(family, cells, params), cutoffs)
+        word_set = self._identity_set(family, cells, params)
+        for m in self._pass(word_set, cutoffs):
+            yield self._reports(word_set, cells, params, m)
+
+    def _reports(self, word_set: list, cells: tuple, params: AbcParams, m: int) -> list:
+        """The cells' identities at cutoff m, read from their set's requests; the sides are compared as integers.
+
+        Every term has the weight of the left side, so each side is a sum of scaled numerators over
+        lcm(1..m)**weight.  The right side reads the groups of ``identity_terms``: each (i, j) strict family
+        sum, once per cutoff, times the group's weighted sum of star-run products."""
+        strict, star = word_set[1]  # laid out by _identity_set
+        sums = {pair: g * state[2] for pair, (g, state, _) in zip(_strict_pairs(cells), strict)}
+        reports, n = [], 0
+        for p, q in cells:
+            (g, state, k), *runs = star[n : n + 2 * p + q + 2]
+            n += 2 * p + q + 2
+            runs = [run[2] for _, run, _ in runs]
+            lhs = g * state[2]
+            rhs = sum(sums[i, j] * sum(w * runs[r1] * runs[r2] for w, r1, r2 in group)
+                      for i, j, group in identity_terms(p, q))
+            den = self._den(m, self._node(k)[0])
+            lhs_value = Fraction(lhs, den)
+            rhs_value = lhs_value if rhs == lhs else Fraction(rhs, den)
+            reports.append(IdentityReport(params, p, q, m, lhs_value, rhs_value, lhs == rhs))
+        return reports
 
     def _identity_set(self, family, cells: tuple, params: AbcParams) -> list:
-        """Strict: the (i, j) families of ``identity_terms``; star: each (p, q) family, then its c-runs by length."""
+        """Strict: the (i, j) families of ``_strict_pairs``; star: each (p, q) family, then its c-runs by length."""
         return self._set((family, cells, params), lambda: {
-            False: [self.members(family, i, j, params)
-                    for i, j in dict.fromkeys((i, j) for p, q in cells for i, j, _ in identity_terms(p, q))],
+            False: [self.members(family, i, j, params) for i, j in _strict_pairs(cells)],
             True: [request for p, q in cells for request in (self.members(family, p, q, params),
                                                             *[(params.c,) * r for r in range(2 * p + q + 1)])]})
 
@@ -369,8 +395,13 @@ def _saved_request(k):
     return k if type(k) is tuple else dict(pairs)
 
 
+def _strict_pairs(cells) -> dict:
+    """The (i, j) of every group of the cells' identities, each once, in order: an identity set's strict requests."""
+    return dict.fromkeys((i, j) for p, q in cells for i, j, _ in identity_terms(p, q))
+
+
 def _check_ascending(cutoffs) -> None:
-    if cutoffs[0] < 0 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+    if not cutoffs or cutoffs[0] < 0 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be non-negative and increase, got {list(cutoffs)}")
 
 
@@ -389,16 +420,12 @@ def zeta_star_trunc(k, m: int, cache: ZetaCache | None = None) -> Fraction:
     return (cache if cache is not None else ZetaCache()).zeta_star(validate_index(k), m)
 
 
-def _weight(family, p, q, params, cache) -> int:
-    """The weight every member of the (p, q) family shares."""
-    return sum(next(iter(cache.members(family, p, q, params))))
-
-
 def _family_sum(family, p, q, m, params, star, cache) -> Fraction:
     if cache is None:
         cache = ZetaCache()
     scaled = cache.family_scaled(family, p, q, params, m, star)
-    return Fraction(scaled, cache._den(m, _weight(family, p, q, params, cache)))
+    weight = sum(next(iter(cache.members(family, p, q, params))))  # every member has the family's weight
+    return Fraction(scaled, cache._den(m, weight))
 
 
 def s_direct(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> Fraction:
@@ -454,42 +481,20 @@ def identity_terms(p: int, q: int) -> tuple[tuple[int, int, tuple[tuple[int, int
     return tuple((i, j, tuple((w, r1, r2) for (r1, r2), w in pairs.items() if w)) for (i, j), pairs in groups.items())
 
 
-def _verify_identity(p, q, m, params, family, cache) -> IdentityReport:
-    """Both sides of the (p, q) identity over ``family`` (I or J), compared as integers.
-
-    Every term has the weight of the left side, so each side is a sum of
-    scaled numerators over lcm(1..m)**weight.  The classes of both sides are
-    filled together, both kinds in one pass; the right side reads the groups of
-    ``identity_terms``: one family's class per (i, j), times its weighted sum
-    of star-run products.
-    """
-    if cache is None:
-        cache = ZetaCache()
-    word_set = cache._identity_set(family, ((p, q),), params)
-    cache._fill(word_set, m)
-    strict, ((g, state, _), *runs) = word_set[1]
-    lhs = g * state[2]
-    runs = [run[2] for _, run, _ in runs]
-    rhs = sum(
-        g * family_state[2] * sum(w * runs[r1] * runs[r2] for w, r1, r2 in pairs)
-        for (g, family_state, _), (_, _, pairs) in zip(strict, identity_terms(p, q))
-    )
-    den = cache._den(m, _weight(family, p, q, params, cache))
-    lhs_value = Fraction(lhs, den)
-    rhs_value = lhs_value if rhs == lhs else Fraction(rhs, den)
-    return IdentityReport(params, p, q, m, lhs_value, rhs_value, lhs == rhs)
-
-
 def verify_identity_s(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> IdentityReport:
     """Check the finite-cutoff identity for the s-family sums, exactly.
 
     Left side: s_star(p, q) at cutoff m.  Right side: the signed binomial
     combination of s(i, j) with two zeta-star values of c-runs, over all
-    decompositions 2i+k+u = 2p, j+l+v = q.
+    decompositions 2i+k+u = 2p, j+l+v = q.  A one-cell sweep (``ZetaCache.sweep_identities``) to cutoff m.
     """
-    return _verify_identity(p, q, m, params, index_family_I, cache)
+    _check_cutoff(m)
+    cache = cache if cache is not None else ZetaCache()
+    return next(cache.sweep_identities(index_family_I, ((p, q),), params, (m,)))[0]
 
 
 def verify_identity_t(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> IdentityReport:
-    """Check the finite-cutoff identity for the t-family sums, exactly."""
-    return _verify_identity(p, q, m, params, index_family_J, cache)
+    """Check the finite-cutoff identity for the t-family sums, exactly: a one-cell sweep to cutoff m."""
+    _check_cutoff(m)
+    cache = cache if cache is not None else ZetaCache()
+    return next(cache.sweep_identities(index_family_J, ((p, q),), params, (m,)))[0]

@@ -347,8 +347,7 @@ class TestVerifyCommand:
         def no_case(*args):
             raise AssertionError("the cache path is checked before any case runs")
 
-        monkeypatch.setattr(cli.zeta, "verify_identity_s", no_case)
-        monkeypatch.setattr(cli.zeta, "verify_identity_t", no_case)
+        monkeypatch.setattr(cli.zeta.ZetaCache, "sweep_identities", no_case)
         for kind in ("s-identity", "t-identity"):
             for path in ("", str(tmp_path / "missing" / "tables.pkl")):
                 code, out, err = run(["verify", kind, "--p", "0", "--q", "0", "--m", "0..2",

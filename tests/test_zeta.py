@@ -421,7 +421,7 @@ class TestFill:
 
     def test_sweeps_refuse_cutoffs_that_do_not_increase_and_fill_reads_any_iterable(self):
         cache = ZetaCache()
-        for cutoffs in ([3, 2], [4, 4], [-1, 2]):
+        for cutoffs in ([3, 2], [4, 4], [-1, 2], ()):
             with pytest.raises(ValueError, match="cutoffs must be non-negative and increase"):
                 list(cache.sweep([(2,)], True, cutoffs))
             with pytest.raises(ValueError, match="cutoffs must be non-negative and increase"):
@@ -590,9 +590,13 @@ class TestBothKinds:
     @pytest.mark.parametrize("params", [*ACCEPTANCE_TRIPLES, AbcParams(6, 2, 4)], ids=str)
     @pytest.mark.parametrize("family", [index_family_I, index_family_J], ids=["I", "J"])
     def test_a_pass_stepped_across_prime_powers_matches_single_kind_fills_and_the_naive_oracles(self, params, family):
-        both, words = ZetaCache(), _WordValues()
-        for m in both.sweep_identities(family, self.CELLS, params, (0, 7, 9, 16, 17)):  # each step crosses prime powers
-            for p, q in self.CELLS:  # the requests, read as each cell's check reads them
+        both, words, cutoffs, swept = ZetaCache(), _WordValues(), (0, 7, 9, 16, 17), []  # each crosses prime powers
+        for reports in both.sweep_identities(family, self.CELLS, params, cutoffs):
+            m = reports[0].m
+            swept.append(m)
+            assert [(r.p, r.q, r.m) for r in reports] == [(p, q, m) for p, q in self.CELLS]
+            assert all(r.equal and r.lhs == r.rhs for r in reports), m
+            for p, q in self.CELLS:  # the requests, read as each cell's report reads them
                 strict, star = both._identity_set(family, ((p, q),), params)[1]
                 assert [run[2] for _, run, _ in star[1:]] == [
                     words((params.c,) * r, m, True) * both.lcm(m) ** (params.c * r) for r in range(2 * p + q + 1)]
@@ -600,6 +604,7 @@ class TestBothKinds:
                     assert g * state[2] == self._family_scaled(both, words, family, i, j, params, m, False), (i, j, m)
                 g, state, _ = star[0]
                 assert g * state[2] == self._family_scaled(both, words, family, p, q, params, m, True), (p, q, m)
+        assert swept == list(cutoffs)
         assert all(state[0] == 17 for states in both._states for state in states.values())
         _assert_states_exact(both, words)
         for star in (False, True):  # each kind's states are the closure of its own requests
@@ -607,6 +612,15 @@ class TestBothKinds:
             assert requested <= set(both._states[star]), star
         if params.a != params.c:  # no strict family has eight c's in a row: that run is read in the star kind only
             assert (params.c,) * 8 in both._states[True] and (params.c,) * 8 not in both._states[False]
+
+    @pytest.mark.parametrize("params", [*ACCEPTANCE_TRIPLES, AbcParams(6, 2, 4)], ids=str)
+    @pytest.mark.parametrize("family, check", [(index_family_I, verify_identity_s),
+                                               (index_family_J, verify_identity_t)], ids=["I", "J"])
+    def test_a_sweeps_reports_equal_fresh_checks_of_each_cell(self, params, family, check):
+        cells = ((2, 1), (0, 0), (3, 2), (1, 3), (0, 2), (2, 1), (3, 0), (1, 1))  # shuffled, one cell repeated
+        cutoffs = (0, 7, 9, 16, 17)  # each step crosses prime powers
+        swept = list(ZetaCache().sweep_identities(family, cells, params, cutoffs))
+        assert swept == [[check(p, q, m, params, ZetaCache()) for p, q in cells] for m in cutoffs]
 
     @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
     @pytest.mark.parametrize("identity_first", [True, False], ids=["identity-first", "single-first"])
@@ -628,7 +642,9 @@ class TestBothKinds:
     def test_a_cache_saved_after_a_pass_loads_and_extends_like_a_fresh_one(self, tmp_path, family, check):
         params, cells = AbcParams(5, 1, 3), ((0, 2), (1, 1), (2, 0))
         cache = ZetaCache()
-        assert list(cache.sweep_identities(family, cells, params, (3, 9))) == [3, 9]
+        swept = list(cache.sweep_identities(family, cells, params, (3, 9)))
+        assert [reports[0].m for reports in swept] == [3, 9]
+        assert [[r.equal for r in reports] for reports in swept] == [[True] * len(cells)] * 2
         path = tmp_path / "states.pkl"
         cache.save(path)
         loaded = ZetaCache.load(path)
@@ -637,9 +653,11 @@ class TestBothKinds:
             for p, q in cells:
                 assert check(p, q, m, params, loaded) == check(p, q, m, params, ZetaCache()), (p, q, m)
         fresh = ZetaCache()
-        assert list(loaded.sweep_identities(family, cells, params, (16, 17))) == [16, 17]
-        assert list(fresh.sweep_identities(family, cells, params, (17,))) == [17]
+        extended = list(loaded.sweep_identities(family, cells, params, (16, 17)))
+        assert [reports[0].m for reports in extended] == [16, 17]
+        assert [reports[0].m for reports in fresh.sweep_identities(family, cells, params, (17,))] == [17]
         assert loaded._states == fresh._states
+        assert extended == [[check(p, q, m, params, ZetaCache()) for p, q in cells] for m in (16, 17)]
 
 
 # Requests of one weight: repeated words, one weight at several lengths, edges whose factor g is not 1,
@@ -713,7 +731,8 @@ class TestWeightZero:
         assert s_direct(0, 0, huge, P312, cache) == s_star_direct(0, 0, huge, P312, cache) == 1
         rep = verify_identity_s(0, 0, huge, P312, cache)
         assert rep.equal and rep.lhs == rep.rhs == 1
-        assert list(cache.sweep_identities(index_family_I, ((0, 0),), P312, (huge,))) == [huge]
+        reports = list(cache.sweep_identities(index_family_I, ((0, 0),), P312, (huge,)))
+        assert [r.m for r in reports[0]] == [huge] and reports == [[rep]]
         assert z_eval(HPoly.word(()), huge, cache) == 1
         assert cache._ratios == [1] and cache._ratio_lcm == 1
 
