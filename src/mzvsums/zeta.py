@@ -34,6 +34,14 @@ term of the identity has the weight of its left side (c(2p+q) for ``s``,
 b + c(2p+q) for ``t``), so a family sum is one scaled numerator (of its tail
 class, times an integer) and the identity check compares the numerators of
 its two sides, as integers over the common denominator L_m**weight.
+
+The tail classes and each family's class (``_CLASSES``, ``_family_class``)
+depend only on (family, i, j, letters), so all caches of a process share
+them, as ``identity_terms``; a cache holds only values.  A process running
+several checks (a library session, in-process CLI calls, the tests) classes
+each family once; a one-shot CLI run does the same work as before.  Never
+cleared, the tables grow with the distinct (family, i, j, letters) a process
+touches: 85 classes, about 0.5 MB, for ``grid``'s 160 identity cells.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .indices import AbcParams, Index, IndexMultiset, index_family_I, index_family_J, validate_index
+from .indices import AbcParams, Index, index_family_I, index_family_J, validate_index
 
 __all__ = [
     "IdentityReport",
@@ -66,6 +74,8 @@ __all__ = [
 # the per-cutoff tables of earlier versions) is refused.
 _CACHE_FORMAT = "mzvsums-zeta-cache/run-1"
 _EMPTY = (0, 1, 1)  # the empty word's state: 1 at every cutoff
+_CLASSES: dict = {(): (0, ())}  # class key -> (weight, ((first letter, sub key, g), ...)), for every cache
+_KEYS: dict = {}  # class key -> itself: one object per key, however many edges name it
 
 
 class ZetaCache:
@@ -78,7 +88,7 @@ class ZetaCache:
     the tail, so a class steps from the class of its tails after each first
     letter a, times g * (L_t // t)**a, g the ratio of their gcds.  A word's
     classes are its suffixes; a family has far fewer.  Classes are hash-consed
-    once per cache, so requests share them.
+    once per process (``_CLASSES``), so the requests of every cache share them.
 
     ``fill(words, m, star)`` brings a request set to cutoff m through its
     classes' closure, level by level, from the cutoff t0 <= m the closure
@@ -87,7 +97,7 @@ class ZetaCache:
     read the sub's old value), star ones lightest first (its new one).  So
     callers that read several cutoffs pass them ascending over the union of
     their requests (``sweep``, ``sweep_identities``).  A set's plan is built
-    once per cache, beside the ratios r_t = L_t // L_(t-1) and the families.
+    once per cache from the shared classes, beside the ratios r_t = L_t // L_(t-1).
     ``sweep_identities`` reads the ``IdentityReport``s of its cells at each
     cutoff from its set's requests (``_reports``); ``verify_identity_s/t`` are
     one-cell, one-cutoff sweeps, so the CLI and the library share that path.
@@ -104,12 +114,10 @@ class ZetaCache:
 
     def __init__(self):
         self._states: tuple[dict, dict] = ({}, {})  # [strict, star]: class key -> [t, N_(t-1), N_t]
-        self._classes: dict = {(): (0, ())}  # class key -> (weight, ((first letter, sub key, g), ...))
         self._sets: dict[tuple, list] = {}  # key -> see _set
         self._ratios: list[int] = [1]  # r_t = L_t // L_(t-1)
         self._ratio_lcm = 1  # L_t at the last t of _ratios
         self._lcms: dict[int, int] = {0: 1}  # L_t at the cutoffs filled or asked for
-        self._members: dict[tuple, IndexMultiset] = {}  # (family, i, j, params) -> the family
 
     def zeta(self, k: Index, m: int) -> Fraction:
         return Fraction(self.scaled(k, m, False), self._den(m, sum(k)))
@@ -123,16 +131,17 @@ class ZetaCache:
 
     def fill(self, words, m: int, star: bool) -> list[int]:
         """The scaled values of ``words`` (indices) at cutoff m, filled as one set if any is not there."""
+        _check_cutoff(m)
         words = tuple(words)
-        word_set = self._set((words, star), lambda: {star: words})
-        self._fill(word_set, m)
+        word_set = self._set((words, star), lambda: {star: [(k, 1) for k in words]})
+        next(self._pass(word_set, (m,)))  # the states are written before m is yielded
         return [state[2] for _, state, _ in word_set[1][star]]
 
     def sweep(self, words, star: bool, cutoffs):
         """Yield each of the ascending ``cutoffs`` once every word of ``words`` sits there: one pass."""
         _check_ascending(cutoffs)
         words = tuple(words)
-        yield from self._pass(self._set((words, star), lambda: {star: words}), cutoffs)
+        yield from self._pass(self._set((words, star), lambda: {star: [(k, 1) for k in words]}), cutoffs)
 
     def sweep_identities(self, family, cells: tuple, params: AbcParams, cutoffs):
         """Yield at each ascending cutoff the ``IdentityReport`` of each of ``cells`` over ``family``: one pass."""
@@ -157,7 +166,7 @@ class ZetaCache:
             lhs = g * state[2]
             rhs = sum(sums[i, j] * sum(w * runs[r1] * runs[r2] for w, r1, r2 in group)
                       for i, j, group in identity_terms(p, q))
-            den = self._den(m, self._node(k)[0])
+            den = self._den(m, _node(k)[0])
             lhs_value = Fraction(lhs, den)
             rhs_value = lhs_value if rhs == lhs else Fraction(rhs, den)
             reports.append(IdentityReport(params, p, q, m, lhs_value, rhs_value, lhs == rhs))
@@ -166,65 +175,32 @@ class ZetaCache:
     def _identity_set(self, family, cells: tuple, params: AbcParams) -> list:
         """Strict: the (i, j) families of ``_strict_pairs``; star: each (p, q) family, then its c-runs by length."""
         return self._set((family, cells, params), lambda: {
-            False: [self.members(family, i, j, params) for i, j in _strict_pairs(cells)],
-            True: [request for p, q in cells for request in (self.members(family, p, q, params),
-                                                            *[(params.c,) * r for r in range(2 * p + q + 1)])]})
+            False: [_family_class(family, i, j, params) for i, j in _strict_pairs(cells)],
+            True: [request for p, q in cells for request in (_family_class(family, p, q, params),
+                                                            *[((params.c,) * r, 1) for r in range(2 * p + q + 1)])]})
 
     def _set(self, key, kinds) -> list:
-        """The request set named ``key``, made on first use from ``kinds()`` (star -> words or families):
+        """The request set named ``key``, made on first use from ``kinds()`` (star -> (class key, g) per request):
         [states of its classes, per kind the (g, state, class key) of each request, plan]."""
         found = self._sets.get(key)
         if found is None:
             reads = ([], [])
             for star, requests in kinds().items():
-                for request in requests:
-                    k, g = self._class(request) if isinstance(request, dict) else (request, 1)
+                for k, g in requests:
                     reads[star].append((g, self._states[star].setdefault(k, [0, 0, 0]) if k else _EMPTY, k))
             found = self._sets[key] = [[state for kind in reads for _, state, k in kind if k], reads, None]
         return found
 
-    def _class(self, family: dict) -> tuple:
-        """(key, g) of a family {word: multiplicity}, g times its class.  Adds the classes of two or more
-        words of its prefix trie that the cache lacks, hash-consed by key; a loop at every depth."""
-        classes = self._classes
-        top = _normal(family.items())
-        todo = [top]
-        while todo:
-            key, _, pairs = todo.pop()
-            if len(pairs) == 1 or key in classes:  # a word's classes are its suffixes: see _node
-                continue
-            groups: dict[int, list] = {}
-            for u, c in pairs:
-                groups.setdefault(u[0], []).append((u[1:], c))
-            edges = []
-            for a, group in groups.items():
-                sub = _normal(group)
-                edges.append((a, sub[0], sub[1]))
-                todo.append(sub)
-            classes[key] = (sum(pairs[0][0]), tuple(edges))
-        return top[:2]
-
-    def _node(self, key) -> tuple:
-        """(weight, edges) of a class: a word has one edge, to its tail."""
-        found = self._classes.get(key)
-        return found if found else (sum(key), ((key[0], key[1:], 1),))
-
-    def _fill(self, word_set: list, m: int) -> None:
-        """Bring the set's classes to m, unless they all sit there."""
-        _check_cutoff(m)
-        if any(state[0] != m for state in word_set[0]):
-            for _ in self._pass(word_set, (m,)):
-                pass
-
     def _pass(self, word_set: list, cutoffs):
         """Advance the set's closures through the ascending ``cutoffs`` from the cutoff they share, else 0,
-        each level's factors computed once for both kinds; writes the states and yields at each cutoff."""
+        each level's factors computed once for both kinds; writes the states and yields at each cutoff.
+        A set of the empty word alone, or a single cutoff that every request sits at, is yielded at once."""
+        if not word_set[0] or len(cutoffs) == 1 and all(state[0] == cutoffs[0] for state in word_set[0]):
+            yield from cutoffs
+            return
         if word_set[2] is None:
             word_set[2] = self._plan(word_set[1])
         chain, tops, steps, rescale, factors = word_set[2]
-        if not chain:  # only the empty word
-            yield from cutoffs
-            return
         t0 = chain[0][0][0]
         if t0 > cutoffs[0] or any(state[0] != t0 for state, _ in chain):
             t0 = 0
@@ -266,7 +242,7 @@ class ZetaCache:
             while todo:
                 key = todo.pop()
                 if key not in closure:
-                    closure[key] = node = self._node(key)
+                    closure[key] = node = _node(key)
                     for _, sub, _ in node[1]:
                         if sub:
                             todo.append(sub)
@@ -281,18 +257,11 @@ class ZetaCache:
             top += [(state, slots[k]) for _, state, k in kind_reads if k]
         return chain, top, steps, tuple(rescale.items()), [(n, a, g) for (a, g), n in factors.items()]
 
-    def members(self, family, i: int, j: int, params: AbcParams) -> IndexMultiset:
-        """``family(i, j, params)`` (``index_family_I`` or ``_J``), enumerated once per cache."""
-        key = (family, i, j, params)
-        found = self._members.get(key)
-        if found is None:
-            found = self._members[key] = family(i, j, params)
-        return found
-
     def family_scaled(self, family, i: int, j: int, params: AbcParams, m: int, star: bool) -> int:
         """The (i, j) family sum at cutoff m times lcm(1..m)**weight: g times its class's value."""
-        word_set = self._set(((family, i, j, params), star), lambda: {star: [self.members(family, i, j, params)]})
-        self._fill(word_set, m)
+        _check_cutoff(m)
+        word_set = self._set(((family, i, j, params), star), lambda: {star: [_family_class(family, i, j, params)]})
+        next(self._pass(word_set, (m,)))
         g, state, _ = word_set[1][star][0]
         return g * state[2]
 
@@ -323,9 +292,9 @@ class ZetaCache:
 
         chains = ({}, {})
         for states, chain in zip(self._states, chains):
-            for k in sorted(states, key=lambda k: self._node(k)[0]):  # subs first
+            for k in sorted(states, key=lambda k: _node(k)[0]):  # subs first
                 t = states[k][0]
-                if t >= 1 and all(not sub or sub in chain and chain[sub][0] == t for _, sub, _ in self._node(k)[1]):
+                if t >= 1 and all(not sub or sub in chain and chain[sub][0] == t for _, sub, _ in _node(k)[1]):
                     chain[k] = states[k]
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         fh = open(tmp, "wb")
@@ -360,13 +329,13 @@ class ZetaCache:
                 raise ValueError("the states are not a dict")
             for k, state in data[1 + star].items():
                 request = _saved_request(k)  # a key is the canonical form of its request
-                key, g = (k, 1) if request is k else cache._class(request) if request else (None, 0)
+                key, g = (k, 1) if request is k else _class(request) if request else (None, 0)
                 if not (type(state) is list and len(state) == 3 and all(type(v) is int for v in state)
                         and state[0] >= 1 and g == 1 and key == k):
                     raise ValueError(f"the state of {k!r} is malformed")
                 states[k] = list(state)
             for k, (t, n0, n1) in states.items():
-                w, edges = cache._node(k)
+                w, edges = _node(k)
                 r, f, step = cache._ratios_to(t)[t], cache.lcm(t) // t, 0
                 for a, sub, g in edges:
                     sub_state = states.get(sub, (None,)) if sub else (t, 1, 1)  # the empty word is 1
@@ -378,11 +347,44 @@ class ZetaCache:
         return cache
 
 
+def _class(family: dict) -> tuple:
+    """(key, g) of a family {word: multiplicity}, g times its class.  Adds the classes of two or more
+    words of its prefix trie that the table lacks, hash-consed by key; a loop at every depth."""
+    top = _normal(family.items())
+    todo = [top]
+    while todo:
+        key, _, pairs = todo.pop()
+        if len(pairs) == 1 or key in _CLASSES:  # a word's classes are its suffixes: see _node
+            continue
+        groups: dict[int, list] = {}
+        for u, c in pairs:
+            groups.setdefault(u[0], []).append((u[1:], c))
+        edges = []
+        for a, group in groups.items():
+            sub = _normal(group)
+            edges.append((a, sub[0], sub[1]))
+            todo.append(sub)
+        _CLASSES[key] = (sum(pairs[0][0]), tuple(edges))
+    return top[:2]
+
+
+def _node(key) -> tuple:
+    """(weight, edges) of a class: a word has one edge, to its tail."""
+    return _CLASSES.get(key) or (sum(key), ((key[0], key[1:], 1),))
+
+
+@functools.cache
+def _family_class(family, i: int, j: int, params: AbcParams) -> tuple:
+    """(class key, g) of ``family(i, j, params)`` (``index_family_I`` or ``_J``), classed once per process."""
+    return _class(family(i, j, params))
+
+
 def _normal(pairs) -> tuple:
     """(key, g, pairs / g) of a family's (word, multiplicity) pairs: the word of one pair, else their frozenset."""
     g = math.gcd(*[c for _, c in pairs])
     pairs = [(u, c // g) for u, c in pairs] if g != 1 else list(pairs)
-    return pairs[0][0] if len(pairs) == 1 else frozenset(pairs), g, pairs
+    key = pairs[0][0] if len(pairs) == 1 else frozenset(pairs)
+    return _KEYS.setdefault(key, key), g, pairs
 
 
 def _saved_request(k):
@@ -421,11 +423,9 @@ def zeta_star_trunc(k, m: int, cache: ZetaCache | None = None) -> Fraction:
 
 
 def _family_sum(family, p, q, m, params, star, cache) -> Fraction:
-    if cache is None:
-        cache = ZetaCache()
-    scaled = cache.family_scaled(family, p, q, params, m, star)
-    weight = sum(next(iter(cache.members(family, p, q, params))))  # every member has the family's weight
-    return Fraction(scaled, cache._den(m, weight))
+    cache = cache if cache is not None else ZetaCache()
+    weight = _node(_family_class(family, p, q, params)[0])[0]  # the family's class has the family's weight
+    return Fraction(cache.family_scaled(family, p, q, params, m, star), cache._den(m, weight))
 
 
 def s_direct(p: int, q: int, m: int, params: AbcParams, cache: ZetaCache | None = None) -> Fraction:

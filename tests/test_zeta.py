@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import zeta_star_trunc_naive, zeta_trunc_naive
 
+from mzvsums import zeta
 from mzvsums.harmonic import HPoly, z_eval
 from mzvsums.indices import AbcParams, index_family_I, index_family_J
 from mzvsums.zeta import (
@@ -584,7 +585,7 @@ class TestBothKinds:
 
     @staticmethod
     def _family_scaled(cache, words, family, i, j, params, m, star):
-        members = cache.members(family, i, j, params)
+        members = family(i, j, params)
         return sum(c * words(k, m, star) for k, c in members.items()) * cache.lcm(m) ** sum(next(iter(members)))
 
     @pytest.mark.parametrize("params", [*ACCEPTANCE_TRIPLES, AbcParams(6, 2, 4)], ids=str)
@@ -621,6 +622,18 @@ class TestBothKinds:
         cutoffs = (0, 7, 9, 16, 17)  # each step crosses prime powers
         swept = list(ZetaCache().sweep_identities(family, cells, params, cutoffs))
         assert swept == [[check(p, q, m, params, ZetaCache()) for p, q in cells] for m in cutoffs]
+
+    @pytest.mark.parametrize("cell", [(1, 1), (3, 3)], ids=str)
+    def test_a_recheck_at_the_cutoff_its_set_holds_equals_a_fresh_check_and_moves_no_state(self, cell):
+        cache = ZetaCache()
+        first = verify_identity_s(*cell, 15, P312, cache)
+        chain = cache._identity_set(index_family_I, (cell,), P312)[2][0]
+        held = [(state, list(state)) for state, _ in chain]
+        assert verify_identity_s(*cell, 15, P312, cache) == first == verify_identity_s(*cell, 15, P312, ZetaCache())
+        assert all(state is was and state == contents for (state, _), (was, contents) in zip(chain, held, strict=True))
+        list(cache.sweep_identities(index_family_I, self.CELLS, P312, (16,)))  # every cell's requests sit at 16
+        assert verify_identity_s(2, 1, 16, P312, cache) == verify_identity_s(2, 1, 16, P312, ZetaCache())
+        assert cache._identity_set(index_family_I, ((2, 1),), P312)[2] is None  # read without a plan
 
     @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
     @pytest.mark.parametrize("identity_first", [True, False], ids=["identity-first", "single-first"])
@@ -702,24 +715,70 @@ class TestTailClasses:
             _assert_states_exact(cache)
 
     def test_classes_are_shared_and_keep_multiplicities_apart(self):
-        cache = ZetaCache()
-        got = {name: cache._class(multiset) for name, multiset in TAIL_FAMILIES.items()}
+        got = {name: zeta._class(multiset) for name, multiset in TAIL_FAMILIES.items()}
         assert got["ratio-1-2-doubled"] == (got["ratio-1-2"][0], 2)
         assert got["ratio-2-1"][0] != got["ratio-1-2"][0]
         assert got["top-gcd-2"] == (frozenset({((2, 1), 1), ((1, 2), 1)}), 2)
         assert got["I(2,1) on (2,2,2)"] == ((2,) * 5, 5)  # one word, five shuffles
-        assert set(cache._classes[got["edge-factors-4-2"][0]][1]) == {(4, (), 1), (1, (1, 1, 1), 4), (2, (2,), 2)}
-        assert cache._node((1, 1, 1)) == (3, ((1, (1, 1), 1),))  # a word's classes are its suffixes
+        assert set(zeta._CLASSES[got["edge-factors-4-2"][0]][1]) == {(4, (), 1), (1, (1, 1, 1), 4), (2, (2,), 2)}
+        assert zeta._node((1, 1, 1)) == (3, ((1, (1, 1), 1),))  # a word's classes are its suffixes
 
     @pytest.mark.parametrize("family", [index_family_I, index_family_J], ids=["I", "J"])
     def test_an_identity_set_steps_far_fewer_classes_than_its_words_have_suffixes(self, family):
         cache = ZetaCache()
         list(cache.sweep_identities(family, ((3, 3),), P312, (1,)))
         steps = cache._identity_set(family, ((3, 3),), P312)[2][2]
-        words = [*cache.members(family, 3, 3, P312), *[(P312.c,) * r for r in range(10)],
-                 *[k for i, j, _ in identity_terms(3, 3) for k in cache.members(family, i, j, P312)]]
+        words = [*family(3, 3, P312), *[(P312.c,) * r for r in range(10)],
+                 *[k for i, j, _ in identity_terms(3, 3) for k in family(i, j, P312)]]
         suffixes = {k[n:] for k in words for n in range(len(k))}
         assert 3 * len(steps) < len(suffixes), (len(steps), len(suffixes))  # 96 and 110 steps, 334 and 499 suffixes
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Empty process-wide tables for one test, the class table, its keys and the family memo swapped
+    together: a memo entry whose classes were gone would read its frozenset key as a word."""
+    monkeypatch.setattr(zeta, "_CLASSES", {(): (0, ())})
+    monkeypatch.setattr(zeta, "_KEYS", {})
+    monkeypatch.setattr(zeta, "_family_class", functools.cache(zeta._family_class.__wrapped__))
+
+
+class TestProcessTables:
+    """Every cache of a process shares the tail classes and each family's class; a cache keeps only values."""
+
+    def test_a_second_cache_enumerates_no_family_and_another_triple_only_its_own(self, cold_tables, monkeypatch):
+        calls = []
+
+        def counting(i, j, params):
+            calls.append((i, j, params))
+            return index_family_I(i, j, params)
+
+        monkeypatch.setattr(zeta, "index_family_I", counting)
+        cells, cutoffs = ((3, 3), (2, 1), (0, 2)), (7, 9)
+        own = {(p, q) for p, q in cells} | {(i, j) for p, q in cells for i, j, _ in identity_terms(p, q)}
+        first = list(ZetaCache().sweep_identities(zeta.index_family_I, cells, P312, cutoffs))
+        assert sorted(calls) == sorted((i, j, P312) for i, j in own)  # each family once
+        calls.clear()
+        second = ZetaCache()
+        assert list(second.sweep_identities(zeta.index_family_I, cells, P312, cutoffs)) == first
+        assert [verify_identity_s(p, q, 9, P312, second) for p, q in cells] == first[1]
+        assert s_star_direct(3, 3, 16, P312, ZetaCache()) == s_star_direct(3, 3, 16, P312, second)
+        assert calls == [] and all(r.equal for reports in first for r in reports)
+        other = AbcParams(2, 2, 2)
+        assert all(r.equal for r in next(ZetaCache().sweep_identities(zeta.index_family_I, cells, other, (9,))))
+        assert sorted(calls) == sorted((i, j, other) for i, j in own)
+
+    @pytest.mark.parametrize("params", [P312, AbcParams(2, 2, 2), AbcParams(6, 2, 4)], ids=str)
+    def test_a_fresh_cache_on_classes_another_cache_filled_holds_its_own_exact_values(self, cold_tables, params):
+        families = [(index_family_I, 1, 1), (index_family_I, 1, 2), (index_family_I, 0, 2),
+                    (index_family_J, 0, 2), (index_family_J, 1, 1)]  # I(1, 1)'s and I(0, 2)'s tails recur
+        for cutoffs in ((9, 17), (7, 16)):  # cache A, then fresh cache B at other cutoffs
+            cache = ZetaCache()
+            for m in cutoffs:
+                for (family, i, j), star in itertools.product(families, (False, True)):
+                    want = TestBothKinds._family_scaled(cache, _naive, family, i, j, params, m, star)
+                    assert cache.family_scaled(family, i, j, params, m, star) == want, (family, i, j, m, star)
+                _assert_states_exact(cache)
 
 
 class TestWeightZero:
@@ -745,7 +804,7 @@ class TestWeightZero:
 
 
 class TestFamilyMemo:
-    """A cache keeps each family's member tables; a later, larger cutoff refills them."""
+    """A cache keeps each family's class states; a later, larger cutoff advances them."""
 
     @pytest.mark.parametrize("params", [P312, AbcParams(5, 3, 4), AbcParams(2, 2, 2)])
     def test_shared_cache_at_ascending_cutoffs_matches_fresh(self, params):
